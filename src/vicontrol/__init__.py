@@ -20,9 +20,6 @@ from .control import (
     CostReport,
     OptimizerResult,
     convex_combination_states,
-    evaluate_cost,
-    gradient,
-    optimize,
 )
 from .mesh import (
     BoundaryTag,
@@ -38,7 +35,6 @@ from .vi import (
     SolverError,
     VISolution,
     brute_force_oracle,
-    make_obstacle_problem,
     solve_pdas,
     solve_psor,
     verify_vi,

@@ -117,7 +117,8 @@ def assemble_boundary_flux(mesh: Mesh, q) -> np.ndarray:
     """Load vector F[i] = integral over Gamma2 of q * phi_i ds.
 
     q is replaced by its piecewise-linear interpolant on boundary edges;
-    the edge integrals are then exact. q may be a callable or a constant.
+    the edge integrals are then exact. q may be a callable, a constant or
+    nodal values.
     """
     q_nodal = interpolate(mesh, q)
     return assemble_boundary_mass(mesh) @ q_nodal

@@ -8,6 +8,7 @@ configuration, 2 solver non-convergence, 3 experiment assertion failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
@@ -18,7 +19,7 @@ import yaml
 from . import harness
 from .control import ControlProblem, CostParams
 from .harness import write_json, write_lines
-from .mesh import SIDES, build_rectangle_mesh, interpolate
+from .mesh import SIDES, Mesh, build_rectangle_mesh
 from .vi import SolverError, dump_solution
 
 EXIT_OK = 0
@@ -31,15 +32,45 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; bools and ints beyond the float range are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _list_of(check, length=None):
+    return lambda v: (
+        isinstance(v, (list, tuple))
+        and (length is None or len(v) == length)
+        and all(map(check, v))
+    )
+
+
+# Value check per RunConfig field annotation; q and g are checked by make_field_spec.
+FIELD_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[float, float, float, float]": ("a list of 4 finite numbers", _list_of(_is_number, 4)),
+    "tuple[str, ...]": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+    "tuple[float, ...]": ("a list of finite numbers", _list_of(_is_number)),
+}
+
+
 @dataclass
 class RunConfig:
-    domain: tuple = (0.0, 0.0, 1.0, 1.0)
+    domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
     nx: int = 8
     ny: int = 8
-    gamma1_sides: tuple = ("left",)
+    gamma1_sides: tuple[str, ...] = ("left",)
     b: float = 1.0
-    q: dict = dc_field(default_factory=lambda: {"type": "constant", "value": 0.0})
-    g: dict = dc_field(default_factory=lambda: {"type": "constant", "value": 0.0})
+    q: object = dc_field(default_factory=lambda: {"type": "constant", "value": 0.0})
+    g: object = dc_field(default_factory=lambda: {"type": "constant", "value": 0.0})
     M: float = 1.0
     solver: str = "pdas"
     tol: float = 1e-10
@@ -47,7 +78,7 @@ class RunConfig:
     oracle_extra_levels: int = 2
     optimize_levels: int = 4
     trials: int = 50
-    mu_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    mu_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     seed: int = 0
     amplitude: float = 10.0
     sweep_control: bool = False
@@ -65,10 +96,10 @@ class RunConfig:
         x0, y0, x1, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             problems.append(f"domain rectangle is degenerate: {self.domain}")
-        if self.b < 0 or not np.isfinite(self.b):
-            problems.append(f"b must be finite and >= 0 (got b={self.b})")
-        if self.M <= 0 or not np.isfinite(self.M):
-            problems.append(f"M must be finite and > 0 (got M={self.M})")
+        if self.b < 0:
+            problems.append(f"b must be >= 0 (got b={self.b})")
+        if self.M <= 0:
+            problems.append(f"M must be > 0 (got M={self.M})")
         if self.solver not in ("psor", "pdas"):
             problems.append(f"solver must be psor or pdas (got {self.solver!r})")
         if self.tol <= 0:
@@ -77,12 +108,19 @@ class RunConfig:
             problems.append("levels and oracle_extra_levels must be >= 1")
         if self.trials < 1:
             problems.append(f"trials must be >= 1 (got trials={self.trials})")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0 (got seed={self.seed})")
+        if not self.mu_grid:
+            problems.append("mu_grid must be nonempty")
         for mu in self.mu_grid:
             if not 0.0 <= mu <= 1.0:
                 problems.append(f"mu_grid value {mu} outside [0, 1]")
+        vertices = (self.nx + 1) * (self.ny + 1)
         for name in ("q", "g"):
             try:
-                make_field_spec(getattr(self, name))
+                spec = make_field_spec(getattr(self, name))
+                if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
+                    raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
             except ConfigError as exc:
                 problems.append(f"{name}: {exc}")
         if problems:
@@ -90,38 +128,42 @@ class RunConfig:
 
 
 def make_field_spec(spec):
-    """Turn a q/g specification into a callable or nodal array.
+    """Turn a q/g specification into a constant, a callable or a nodal array.
 
     Accepted forms: a plain number; {type: constant, value}; {type: affine,
     a, bx, cy}; {type: gauss, amplitude, x0, y0, sigma}; {type: file, path}.
     """
-    if isinstance(spec, (int, float)):
+    if _is_number(spec):
         return float(spec)
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"field spec must be a number or a mapping with 'type', got {spec!r}")
     kind = spec["type"]
+
+    def number(key, default):
+        value = spec.get(key, default)
+        if not _is_number(value):
+            raise ConfigError(f"{kind} field {key!r} must be a finite number, got {value!r}")
+        return float(value)
+
     if kind == "constant":
-        return float(spec.get("value", 0.0))
+        return number("value", 0.0)
     if kind == "affine":
-        a = float(spec.get("a", 0.0))
-        bx = float(spec.get("bx", 0.0))
-        cy = float(spec.get("cy", 0.0))
+        a, bx, cy = number("a", 0.0), number("bx", 0.0), number("cy", 0.0)
         return lambda x, y: a + bx * x + cy * y
     if kind == "gauss":
-        amp = float(spec.get("amplitude", 1.0))
-        x0 = float(spec.get("x0", 0.5))
-        y0 = float(spec.get("y0", 0.5))
-        sigma = float(spec.get("sigma", 0.1))
+        amp, x0, y0 = number("amplitude", 1.0), number("x0", 0.5), number("y0", 0.5)
+        sigma = number("sigma", 0.1)
         if sigma <= 0:
             raise ConfigError(f"gauss sigma must be > 0, got {sigma}")
         return lambda x, y: amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * sigma**2))
     if kind == "file":
         path = spec.get("path")
-        if not path:
-            raise ConfigError("file spec requires 'path'")
-        if not Path(path).exists():
-            raise ConfigError(f"nodal file not found: {path}")
-        return np.loadtxt(path)
+        if not isinstance(path, str) or not path:
+            raise ConfigError("file spec requires 'path', a file name")
+        try:
+            return np.loadtxt(path, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read nodal file {path}: {exc}") from exc
     raise ConfigError(f"unknown field type {kind!r}")
 
 
@@ -134,13 +176,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path} must contain a mapping")
         data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    fields = RunConfig.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("domain", "gamma1_sides", "mu_grid"):
-        if key in data and isinstance(data[key], list):
-            data[key] = tuple(data[key])
+        raise ConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
+    for key, value in data.items():
+        kind = FIELD_KINDS.get(fields[key].type)
+        if kind is not None and not kind[1](value):
+            raise ConfigError(f"{key} must be {kind[0]}, got {value!r}")
     cfg = RunConfig(**data)
     cfg.validate()
     return cfg
@@ -148,8 +191,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _prepare_out(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    snapshot = dict(asdict(cfg))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create the output directory: {exc}") from exc
+    snapshot = asdict(cfg)
     with open(out / "config.yaml", "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(snapshot, fh, sort_keys=True)
     return out
@@ -157,30 +203,21 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 def _build(cfg: RunConfig):
     mesh = build_rectangle_mesh(cfg.nx, cfg.ny, cfg.domain, cfg.gamma1_sides)
-    params = CostParams(weight=cfg.M, flux=make_field_spec(cfg.q), dirichlet=cfg.b)
+    params = CostParams(
+        weight=cfg.M, flux=make_field_spec(cfg.q), dirichlet=cfg.b, solver=cfg.solver, tol=cfg.tol
+    )
     return mesh, params
 
 
-def _g_nodal(cfg: RunConfig, mesh):
-    g = make_field_spec(cfg.g)
-    if isinstance(g, np.ndarray):
-        if g.shape != (mesh.num_vertices,):
-            raise ConfigError(
-                f"nodal control file has {g.shape[0]} values, mesh has {mesh.num_vertices} vertices"
-            )
-        return g
-    return interpolate(mesh, g)
-
-
-def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
-    out = _prepare_out(cfg)
-    mesh, params = _build(cfg)
-    cp = ControlProblem(mesh, params, cfg.solver)
-    problem = cp.as_obstacle_problem(_g_nodal(cfg, mesh))
-    from .vi import solve_pdas, solve_psor
-
-    solver = solve_psor if cfg.solver == "psor" else solve_pdas
-    sol = solver(problem, tol=cfg.tol)
+def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
+    cp = ControlProblem(mesh, params)
+    try:
+        sol = cp.solve_state(make_field_spec(cfg.g))
+    except SolverError as exc:
+        print(f"solver failure during solve: {exc}", file=sys.stderr)
+        if exc.solution is None:
+            return EXIT_NOT_CONVERGED
+        sol = exc.solution
     dump_solution(mesh, sol, out / "solution.csv")
     write_json(
         out / "diagnostics.json",
@@ -194,22 +231,20 @@ def cmd_solve(cfg: RunConfig, quiet: bool) -> int:
         },
     )
     if not sol.converged:
-        print(f"solver did not converge: residual {sol.complementarity_residual:.3e}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     if not quiet:
         print(
             f"solved in {sol.iterations} iterations, "
-            f"active set {sol.active_set.size}/{problem.dofs.free_nodes.size} free nodes"
+            f"active set {sol.active_set.size}/{cp.dofs.free_nodes.size} free nodes"
         )
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
-    out = _prepare_out(cfg)
-    mesh, params = _build(cfg)
-    cp = ControlProblem(mesh, params, cfg.solver)
+def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
+    cp = ControlProblem(mesh, params)
     try:
-        res = cp.optimize(_g_nodal(cfg, mesh))
+        res = cp.optimize(make_field_spec(cfg.g))
+        u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
     except SolverError as exc:
         print(f"state solver failed during optimization: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -224,7 +259,6 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
     np.savetxt(out / "control.txt", res.control)
     dump_solution(mesh, res.state, out / "state.csv")
     report = cp.cost(res.control, res.state)
-    u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
     write_json(
         out / "cost_report.json",
         {
@@ -271,18 +305,18 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
     return checks
 
 
-def cmd_sweep(cfg: RunConfig, quiet: bool) -> int:
-    out = _prepare_out(cfg)
-    mesh, params = _build(cfg)
+def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
+    # every level interpolates q and g on its own mesh, which a nodal file cannot follow
+    for name in ("q", "g"):
+        if isinstance(make_field_spec(getattr(cfg, name)), np.ndarray):
+            raise ConfigError(f"sweep needs a functional {name} spec (constant/affine/gauss)")
     g_spec = make_field_spec(cfg.g)
-    if isinstance(g_spec, np.ndarray):
-        raise ConfigError("sweep needs a functional g spec (constant/affine/gauss)")
     try:
         table = harness.run_state_convergence(
-            mesh, g_spec, params, cfg.levels, cfg.oracle_extra_levels, cfg.solver
+            mesh, g_spec, params, cfg.levels, cfg.oracle_extra_levels
         )
         cost_run = harness.run_cost_convergence(
-            mesh, g_spec, params, cfg.levels, cfg.oracle_extra_levels, cfg.solver
+            mesh, g_spec, params, cfg.levels, cfg.oracle_extra_levels
         )
     except SolverError as exc:
         print(f"solver failure during sweep: {exc}", file=sys.stderr)
@@ -310,7 +344,7 @@ def cmd_sweep(cfg: RunConfig, quiet: bool) -> int:
     if cfg.sweep_control:
         try:
             ctable = harness.run_control_convergence(
-                mesh, params, cfg.optimize_levels, cfg.oracle_extra_levels, solver=cfg.solver
+                mesh, params, cfg.optimize_levels, cfg.oracle_extra_levels
             )
         except (SolverError, RuntimeError) as exc:
             print(f"optimizer failure during sweep: {exc}", file=sys.stderr)
@@ -331,9 +365,7 @@ def cmd_sweep(cfg: RunConfig, quiet: bool) -> int:
     return EXIT_OK if summary["passed"] else EXIT_ASSERTION
 
 
-def cmd_scan(cfg: RunConfig, quiet: bool) -> int:
-    out = _prepare_out(cfg)
-    mesh, params = _build(cfg)
+def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
     try:
         records, summary = harness.run_open_problem_scan(
             mesh,
@@ -342,7 +374,6 @@ def cmd_scan(cfg: RunConfig, quiet: bool) -> int:
             mu_grid=cfg.mu_grid,
             seed=cfg.seed,
             amplitude=cfg.amplitude,
-            solver=cfg.solver,
         )
     except SolverError as exc:
         print(f"solver failure during scan: {exc}", file=sys.stderr)
@@ -386,7 +417,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-    except (ConfigError, FileNotFoundError, yaml.YAMLError, TypeError) as exc:
+    except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     handler = {
@@ -396,7 +427,9 @@ def main(argv=None) -> int:
         "scan": cmd_scan,
     }[args.command]
     try:
-        return handler(cfg, args.quiet)
+        out = _prepare_out(cfg)
+        mesh, params = _build(cfg)
+        return handler(cfg, out, mesh, params, args.quiet)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -27,17 +27,24 @@ from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor
 
 @dataclass(frozen=True)
 class CostParams:
-    """Cost weight M plus the state-problem data q (flux) and b (Dirichlet)."""
+    """Cost weight M, the state-problem data q (flux) and b (Dirichlet), and
+    the state solver with its complementarity tolerance."""
 
     weight: float
-    flux: object = 0.0  # callable or constant on Gamma2
+    flux: object = 0.0  # callable, constant or nodal array on Gamma2
     dirichlet: float = 1.0
+    solver: str = "pdas"
+    tol: float = 1e-10
 
     def __post_init__(self):
         if not self.weight > 0:
             raise ValueError(f"cost weight M must be > 0, got {self.weight}")
         if self.dirichlet < 0:
             raise ValueError(f"dirichlet value must be >= 0, got {self.dirichlet}")
+        if self.solver not in ("pdas", "psor"):
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if not self.tol > 0:
+            raise ValueError(f"solver tolerance must be > 0, got {self.tol}")
 
 
 @dataclass
@@ -61,47 +68,35 @@ class OptimizerResult:
 
 
 class ControlProblem:
-    """Caches the assembled operators for repeated solves at one mesh."""
+    """The discrete state problem and cost at one mesh: caches the assembled
+    operators and is the one place that builds and solves a state problem."""
 
-    def __init__(self, mesh: Mesh, params: CostParams, solver: str = "pdas"):
-        if solver not in ("pdas", "psor"):
-            raise ValueError(f"unknown solver {solver!r}")
+    def __init__(self, mesh: Mesh, params: CostParams):
         self.mesh = mesh
         self.params = params
-        self.solver = solver
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_mass(mesh)
         self.flux_load = assemble_boundary_flux(mesh, params.flux)
         self.dofs = dof_map(mesh)
 
-    def as_obstacle_problem(self, g: np.ndarray) -> ObstacleProblem:
-        g = self._nodal(g)
+    def as_obstacle_problem(self, g) -> ObstacleProblem:
         return ObstacleProblem(
             stiffness=self.stiffness,
-            load=self.mass @ g - self.flux_load,
+            load=self.mass @ interpolate(self.mesh, g) - self.flux_load,
             dirichlet_value=self.params.dirichlet,
             dofs=self.dofs,
         )
 
-    def _nodal(self, g) -> np.ndarray:
-        if np.isscalar(g) or callable(g):
-            return interpolate(self.mesh, g)
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.mesh.num_vertices,):
-            raise ValueError(
-                f"control has shape {g.shape}, expected ({self.mesh.num_vertices},)"
-            )
-        return g
-
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:
+        """State for control g; raises SolverError, carrying the unconverged
+        solution, when the solver misses params.tol."""
         problem = self.as_obstacle_problem(g)
-        if self.solver == "psor":
-            sol = solve_psor(problem, u0=warm_start)
-        else:
-            sol = solve_pdas(problem, u0=warm_start)
+        solver = solve_psor if self.params.solver == "psor" else solve_pdas
+        sol = solver(problem, tol=self.params.tol, u0=warm_start)
         if not sol.converged:
             raise SolverError(
-                f"state solve did not converge (residual {sol.complementarity_residual:.3e})"
+                f"state solve did not converge (residual {sol.complementarity_residual:.3e})",
+                sol,
             )
         return sol
 
@@ -109,7 +104,7 @@ class ControlProblem:
         return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
 
     def cost(self, g, state: VISolution | None = None) -> CostReport:
-        g = self._nodal(g)
+        g = interpolate(self.mesh, g)
         if state is None:
             state = self.solve_state(g)
         state_term = 0.5 * self.l2_norm(state.u) ** 2
@@ -127,7 +122,7 @@ class ControlProblem:
         Solve A_II p = (M_H u)_I on the inactive free nodes (p = 0 on active
         and Dirichlet nodes); the gradient field is M*g + p.
         """
-        g = self._nodal(g)
+        g = interpolate(self.mesh, g)
         if state is None:
             state = self.solve_state(g)
         active_mask = np.zeros(self.mesh.num_vertices, dtype=bool)
@@ -155,7 +150,7 @@ class ControlProblem:
         The first trial step per iteration is the Barzilai-Borwein length from
         the latest curvature pair (fall back to 1 when it is unusable).
         """
-        g = self._nodal(g0).copy()
+        g = interpolate(self.mesh, g0).copy()
         state = self.solve_state(g)
         report = self.cost(g, state)
         grad = self.gradient(g, state)
@@ -225,27 +220,8 @@ class ControlProblem:
         )
 
 
-def evaluate_cost(mesh: Mesh, params: CostParams, g, solver: str = "pdas") -> CostReport:
-    return ControlProblem(mesh, params, solver).cost(g)
-
-
-def gradient(mesh: Mesh, params: CostParams, g, solver: str = "pdas") -> np.ndarray:
-    return ControlProblem(mesh, params, solver).gradient(g)
-
-
-def optimize(
-    mesh: Mesh,
-    params: CostParams,
-    g0,
-    gtol: float | None = None,
-    max_iter: int = 500,
-    solver: str = "pdas",
-) -> OptimizerResult:
-    return ControlProblem(mesh, params, solver).optimize(g0, gtol=gtol, max_iter=max_iter)
-
-
 def convex_combination_states(
-    mesh: Mesh, params: CostParams, g1, g2, mu: float, solver: str = "pdas"
+    mesh: Mesh, params: CostParams, g1, g2, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compare combining solutions against solving for the combined control.
 
@@ -254,9 +230,9 @@ def convex_combination_states(
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    cp = ControlProblem(mesh, params, solver)
-    g1 = cp._nodal(g1)
-    g2 = cp._nodal(g2)
+    cp = ControlProblem(mesh, params)
+    g1 = interpolate(mesh, g1)
+    g2 = interpolate(mesh, g2)
     u1 = cp.solve_state(g1).u
     u2 = cp.solve_state(g2).u
     u3 = mu * u1 + (1.0 - mu) * u2

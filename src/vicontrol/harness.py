@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    assemble_mass,
-    assemble_stiffness,
-    coercivity_constant,
-    h1_norm,
-    l2_norm,
-)
+from .assembly import assemble_mass, coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
 from .mesh import Mesh, interpolate, prolongate, refine_times, refine_uniform
 
@@ -110,7 +104,6 @@ def run_state_convergence(
     params: CostParams,
     levels: int = 4,
     oracle_extra_levels: int = 2,
-    solver: str = "pdas",
 ) -> ConvergenceTable:
     """Errors of the state solution against a fine-mesh oracle, per level.
 
@@ -124,7 +117,7 @@ def run_state_convergence(
     meshes = _mesh_hierarchy(base_mesh, levels)
     oracle_mesh = refine_times(meshes[-1], oracle_extra_levels)
 
-    oracle_cp = ControlProblem(oracle_mesh, params, solver)
+    oracle_cp = ControlProblem(oracle_mesh, params)
     u_oracle = oracle_cp.solve_state(interpolate(oracle_mesh, g)).u
     a_o = oracle_cp.stiffness
     m_o = oracle_cp.mass
@@ -133,9 +126,7 @@ def run_state_convergence(
         reference=f"state oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})"
     )
     for mesh in meshes:
-        cp = ControlProblem(mesh, params, solver)
-        g_h = interpolate(mesh, g)
-        report = cp.cost(g_h)
+        report = ControlProblem(mesh, params).cost(g)
         diff = prolongate(mesh, report.state.u, oracle_mesh) - u_oracle
         table.rows.append(
             ConvergenceRow(
@@ -158,17 +149,14 @@ def run_cost_convergence(
     params: CostParams,
     levels: int = 4,
     oracle_extra_levels: int = 2,
-    solver: str = "pdas",
 ) -> dict:
     """Per-level gap |J_level(g) - J_oracle(g)| and its fitted rate."""
     meshes = _mesh_hierarchy(base_mesh, levels)
     oracle_mesh = refine_times(meshes[-1], oracle_extra_levels)
-    j_oracle = ControlProblem(oracle_mesh, params, solver).cost(
-        interpolate(oracle_mesh, g)
-    ).cost
+    j_oracle = ControlProblem(oracle_mesh, params).cost(g).cost
     rows = []
     for mesh in meshes:
-        j = ControlProblem(mesh, params, solver).cost(interpolate(mesh, g)).cost
+        j = ControlProblem(mesh, params).cost(g).cost
         rows.append({"level": mesh.level, "h": mesh.h, "cost": j, "gap": abs(j - j_oracle)})
     rate = fit_rate([r["h"] for r in rows], [r["gap"] for r in rows])
     return {"oracle_cost": j_oracle, "oracle_level": oracle_mesh.level, "rows": rows, "rate": rate}
@@ -180,7 +168,6 @@ def run_control_convergence(
     levels: int = 4,
     oracle_extra_levels: int = 2,
     g0=0.0,
-    solver: str = "pdas",
     max_iter: int = 500,
 ) -> ConvergenceTable:
     """Distances of per-level optimal controls/states to the finest-level run."""
@@ -189,28 +176,27 @@ def run_control_convergence(
 
     results = []
     for mesh in meshes + [oracle_mesh]:
-        cp = ControlProblem(mesh, params, solver)
-        res = cp.optimize(interpolate(mesh, g0), max_iter=max_iter)
+        cp = ControlProblem(mesh, params)
+        res = cp.optimize(g0, max_iter=max_iter)
         if not res.converged:
             raise RuntimeError(
                 f"optimizer did not converge at level {mesh.level} "
                 f"(gradient norm {res.gradient_norm:.3e})"
             )
-        results.append((mesh, res))
+        results.append((cp, res))
 
-    oracle_mesh, oracle_res = results[-1]
-    a_o = assemble_stiffness(oracle_mesh)
-    m_o = assemble_mass(oracle_mesh)
+    oracle_cp, oracle_res = results[-1]
+    a_o, m_o = oracle_cp.stiffness, oracle_cp.mass
     table = ConvergenceTable(
         reference=f"optimizer oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})"
     )
-    for mesh, res in results[:-1]:
-        du = prolongate(mesh, res.state.u, oracle_mesh) - oracle_res.state.u
-        dg = prolongate(mesh, res.control, oracle_mesh) - oracle_res.control
+    for cp, res in results[:-1]:
+        du = prolongate(cp.mesh, res.state.u, oracle_mesh) - oracle_res.state.u
+        dg = prolongate(cp.mesh, res.control, oracle_mesh) - oracle_res.control
         table.rows.append(
             ConvergenceRow(
-                level=mesh.level,
-                h=mesh.h,
+                level=cp.mesh.level,
+                h=cp.mesh.h,
                 error_v=h1_norm(du, oracle_mesh, a_o, m_o),
                 error_h=l2_norm(du, oracle_mesh, m_o),
                 cost=res.cost,
@@ -229,7 +215,6 @@ def run_lipschitz_check(
     trials: int = 50,
     seed: int = 0,
     amplitude: float = 10.0,
-    solver: str = "pdas",
 ) -> dict:
     """Worst ratio lambda_h * ||u2 - u1||_V / ||g2 - g1||_H over random pairs.
 
@@ -239,7 +224,7 @@ def run_lipschitz_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    cp = ControlProblem(mesh, params, solver)
+    cp = ControlProblem(mesh, params)
     lam = coercivity_constant(mesh, cp.stiffness, cp.mass)
     a, m = cp.stiffness, cp.mass
 
@@ -270,7 +255,6 @@ def run_open_problem_scan(
     seed: int = 0,
     amplitude: float = 10.0,
     tol: float = 1e-9,
-    solver: str = "pdas",
 ) -> tuple[list[OpenProblemRecord], dict]:
     """Randomized search for violations of 0 <= u4(mu) <= u3(mu).
 
@@ -283,7 +267,7 @@ def run_open_problem_scan(
     if any(mu < 0 or mu > 1 for mu in mu_grid):
         raise ValueError("mu_grid values must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    cp = ControlProblem(mesh, params, solver)
+    cp = ControlProblem(mesh, params)
     m = cp.mass
 
     records = []

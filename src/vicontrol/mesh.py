@@ -9,7 +9,7 @@ at least one whole rectangle side.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    def vertex_index(self, ix: int, iy: int) -> int:
-        return iy * (self.nx + 1) + ix
 
 
 def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("left",)):
@@ -137,18 +134,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     refined mesh is rebuilt with 2*nx, 2*ny; tags are inherited side-wise.
     """
     fine = build_rectangle_mesh(2 * mesh.nx, 2 * mesh.ny, mesh.domain, mesh.gamma1_sides)
-    return Mesh(
-        vertices=fine.vertices,
-        triangles=fine.triangles,
-        boundary_edges=fine.boundary_edges,
-        boundary_tags=fine.boundary_tags,
-        h=mesh.h / 2.0,
-        level=mesh.level + 1,
-        nx=fine.nx,
-        ny=fine.ny,
-        domain=fine.domain,
-        gamma1_sides=fine.gamma1_sides,
-    )
+    return replace(fine, h=mesh.h / 2.0, level=mesh.level + 1)
 
 
 def refine_times(mesh: Mesh, times: int) -> Mesh:
@@ -180,14 +166,21 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 def interpolate(mesh: Mesh, f) -> np.ndarray:
     """Nodal P1 interpolant: value f(x, y) at every vertex.
 
-    f may be a callable (x, y) -> float or a scalar constant.
+    f may be a callable (x, y) -> float, a scalar constant, or an array that
+    already holds one value per vertex (returned as is, not copied).
     """
     if callable(f):
         values = np.array(
             [f(x, y) for x, y in mesh.vertices], dtype=float
         )
-    else:
+    elif np.ndim(f) == 0:
         values = np.full(mesh.num_vertices, float(f))
+    else:
+        values = np.asarray(f, dtype=float)
+        if values.shape != (mesh.num_vertices,):
+            raise ValueError(
+                f"nodal field has shape {values.shape}, expected ({mesh.num_vertices},)"
+            )
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FloatingPointError(

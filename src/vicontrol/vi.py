@@ -16,18 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    DofMap,
-    assemble_boundary_flux,
-    assemble_mass,
-    assemble_stiffness,
-    dof_map,
-)
+from .assembly import DofMap
 from .mesh import Mesh
 
 
 class SolverError(RuntimeError):
-    pass
+    """A state solve failed; `solution` is the unconverged iterate, if any."""
+
+    def __init__(self, message: str, solution: VISolution | None = None):
+        super().__init__(message)
+        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -69,22 +67,6 @@ class VISolution:
     iterations: int
     converged: bool
     method: str = "unknown"
-
-
-def make_obstacle_problem(mesh: Mesh, g, q, b: float) -> ObstacleProblem:
-    """Assemble the discrete problem for control g and flux q.
-
-    g is a nodal vector, callable, or constant; q is a callable or constant
-    on the boundary.
-    """
-    from .mesh import interpolate
-
-    a = assemble_stiffness(mesh)
-    m = assemble_mass(mesh)
-    if np.isscalar(g) or callable(g):
-        g = interpolate(mesh, g)
-    f = m @ np.asarray(g, dtype=float) - assemble_boundary_flux(mesh, q)
-    return ObstacleProblem(stiffness=a, load=f, dirichlet_value=float(b), dofs=dof_map(mesh))
 
 
 def _complementarity_residual(problem: ObstacleProblem, u: np.ndarray) -> float:

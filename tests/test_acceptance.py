@@ -14,7 +14,11 @@ from vicontrol import harness
 from vicontrol.assembly import coercivity_constant, h1_norm, l2_norm
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh, refine_uniform
-from vicontrol.vi import brute_force_oracle, make_obstacle_problem, solve_pdas, solve_psor
+from vicontrol.vi import brute_force_oracle, solve_pdas, solve_psor
+
+
+def obstacle_problem(mesh, g, q, b):
+    return ControlProblem(mesh, CostParams(1.0, q, b)).as_obstacle_problem(g)
 
 
 def report(name: str, detail: str = ""):
@@ -32,7 +36,7 @@ def test_01_solvers_match_enumeration_oracle():
         g = rng.uniform(-60, 20, mesh.num_vertices)
         b = float(rng.uniform(0.02, 1.0))
         q = float(rng.uniform(-2, 2))
-        prob = make_obstacle_problem(mesh, g, q, b)
+        prob = obstacle_problem(mesh, g, q, b)
         oracle = brute_force_oracle(prob)
         for solver in (solve_psor, solve_pdas):
             sol = solver(prob, tol=1e-12)
@@ -50,7 +54,7 @@ def test_02_constant_solution_exact_on_all_levels():
     mesh = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
     worst = 0.0
     for _ in range(5):
-        prob = make_obstacle_problem(mesh, 0.0, 0.0, 1.0)
+        prob = obstacle_problem(mesh, 0.0, 0.0, 1.0)
         for solver in (solve_psor, solve_pdas):
             sol = solver(prob, tol=1e-12)
             assert sol.converged
@@ -121,7 +125,7 @@ def test_06_convergence_with_active_obstacle():
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.05)
     mesh = base
     for _ in range(5):
-        sol = solve_pdas(make_obstacle_problem(mesh, -50.0, 0.0, 0.05), tol=1e-12)
+        sol = solve_pdas(obstacle_problem(mesh, -50.0, 0.0, 0.05), tol=1e-12)
         assert sol.converged and sol.active_set.size > 0
         mesh = refine_uniform(mesh)
     table = harness.run_state_convergence(base, -50.0, params, levels=5, oracle_extra_levels=3)

@@ -1,8 +1,11 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from vicontrol import cli
 
@@ -245,19 +248,125 @@ def test_field_spec_file_wrong_length(tmp_path):
 
 
 def test_solver_nonconvergence_exit_code(tmp_path):
-    # a single PSOR sweep cannot resolve this smooth problem
+    # PDAS stalls at a residual near 1e-15, far above the requested tolerance
     cfg = write_config(
         tmp_path / "cfg.yaml",
         nx=8,
         ny=8,
         b=1.0,
         g={"type": "constant", "value": 10.0},
-        solver="psor",
-        tol=1e-14,
+        solver="pdas",
+        tol=1e-300,
         out=str(tmp_path / "out"),
     )
-    rc = cli.main(["--config", cfg, "--quiet", "solve"])
-    assert rc == 0  # full iteration budget converges
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["converged"] is False
+    assert (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])
+def test_tolerance_reaches_every_command(tmp_path, command):
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        nx=4,
+        ny=4,
+        b=1.0,
+        g=10.0,
+        levels=2,
+        oracle_extra_levels=1,
+        trials=2,
+        mu_grid=[0.5],
+        solver="pdas",
+        tol=1e-300,
+        out=str(tmp_path / "out"),
+    )
+    assert cli.main(["--config", cfg, "--quiet", command]) == 2
+
+
+def test_flux_from_file_matches_constant(tmp_path):
+    nodal = tmp_path / "q.txt"
+    np.savetxt(nodal, np.full(25, 0.5))
+    common = dict(nx=4, ny=4, b=0.2, g=-30.0)
+    c1 = write_config(tmp_path / "c1.yaml", q=0.5, out=str(tmp_path / "o1"), **common)
+    c2 = write_config(
+        tmp_path / "c2.yaml", q={"type": "file", "path": str(nodal)}, out=str(tmp_path / "o2"),
+        **common,
+    )
+    assert cli.main(["--config", c1, "--quiet", "solve"]) == 0
+    assert cli.main(["--config", c2, "--quiet", "solve"]) == 0
+    assert (tmp_path / "o1" / "solution.csv").read_bytes() == (
+        tmp_path / "o2" / "solution.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("solve", "nx", 2.5),
+        ("solve", "domain", [0, 0, 1]),
+        ("solve", "levels", "3"),
+        ("solve", "sweep_control", "yes"),
+        ("solve", "tol", float("nan")),
+        ("scan", "seed", -1),
+        ("scan", "mu_grid", []),
+        ("solve", "out", __file__),  # an existing file, not a directory
+        # nodal files for the default 8x8 mesh, which has 81 vertices
+        ("solve", "q", {"type": "file", "values": 7}),
+        ("sweep", "q", {"type": "file", "values": 81}),
+    ],
+)
+def test_config_fault_names_key(tmp_path, capsys, command, key, value):
+    if isinstance(value, dict):
+        np.savetxt(tmp_path / "q.txt", np.zeros(value["values"]))
+        value = {"type": "file", "path": str(tmp_path / "q.txt")}
+    cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value})
+    assert cli.main(["--config", cfg, "--quiet", command]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_every_config_field_has_a_kind():
+    # q and g are field specs, checked by make_field_spec
+    unchecked = {f.name for f in fields(cli.RunConfig) if f.type not in cli.FIELD_KINDS}
+    assert unchecked == {"q", "g"}
+
+
+def field_values():
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.text(alphabet="abxyz01.-", max_size=6),
+        st.sampled_from(["left", "top", "pdas", "psor", "constant", "affine", "gauss", "file"]),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.dictionaries(
+                st.sampled_from(["type", "value", "a", "bx", "sigma", "amplitude", "path"]),
+                inner,
+                max_size=4,
+            ),
+        ),
+        max_leaves=8,
+    )
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from([f.name for f in fields(cli.RunConfig)]), field_values(), max_size=6
+    )
+)
+def test_load_config_raises_only_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "hypothesis.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    try:
+        cfg = cli.load_config(str(path), {})
+    except cli.ConfigError:
+        return
+    assert isinstance(cfg, cli.RunConfig)
 
 
 def test_summaries_validate_against_schema(tmp_path):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from vicontrol.control import (
-    ControlProblem,
-    CostParams,
-    convex_combination_states,
-    evaluate_cost,
-    gradient,
-    optimize,
-)
+from vicontrol.control import ControlProblem, CostParams, convex_combination_states
 from vicontrol.mesh import build_rectangle_mesh
 
 
@@ -26,7 +19,7 @@ def test_cost_params_validation():
 
 def test_cost_of_zero_control_unit_square(mesh):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    report = evaluate_cost(mesh, params, 0.0)
+    report = ControlProblem(mesh, params).cost(0.0)
     # state is identically 1, so J = 1/2 * area = 1/2
     assert report.control_term == 0.0
     assert report.cost == pytest.approx(0.5, abs=1e-12)
@@ -35,8 +28,8 @@ def test_cost_of_zero_control_unit_square(mesh):
 
 def test_cost_linear_in_weight(mesh):
     g = np.full(mesh.num_vertices, 2.0)
-    r1 = evaluate_cost(mesh, CostParams(weight=1.0, dirichlet=1.0), g)
-    r2 = evaluate_cost(mesh, CostParams(weight=2.0, dirichlet=1.0), g)
+    r1 = ControlProblem(mesh, CostParams(weight=1.0, dirichlet=1.0)).cost(g)
+    r2 = ControlProblem(mesh, CostParams(weight=2.0, dirichlet=1.0)).cost(g)
     assert r2.cost - r1.cost == pytest.approx(r1.control_term, rel=1e-12)
     assert r2.state_term == pytest.approx(r1.state_term, rel=1e-12)
 
@@ -45,14 +38,14 @@ def test_cost_report_consistency(mesh):
     params = CostParams(weight=0.7, flux=0.5, dirichlet=0.8)
     rng = np.random.default_rng(2)
     g = rng.uniform(-5, 5, mesh.num_vertices)
-    report = evaluate_cost(mesh, params, g)
+    report = ControlProblem(mesh, params).cost(g)
     assert report.cost == pytest.approx(report.state_term + report.control_term, rel=1e-14)
     assert report.state_term >= 0 and report.control_term >= 0
 
 
 def test_gradient_zero_at_trivial_optimum(mesh):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.0)
-    grad = gradient(mesh, params, 0.0)
+    grad = ControlProblem(mesh, params).gradient(0.0)
     assert np.max(np.abs(grad)) <= 1e-14
 
 
@@ -115,7 +108,7 @@ def test_optimize_trivial_problem(mesh):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.0)
     rng = np.random.default_rng(8)
     g0 = rng.uniform(-3, 3, mesh.num_vertices)
-    res = optimize(mesh, params, g0)
+    res = ControlProblem(mesh, params).optimize(g0)
     assert res.converged
     assert res.cost <= 1e-12
     assert np.max(np.abs(res.control)) <= 1e-5
@@ -132,7 +125,7 @@ def test_optimize_large_weight_bound(mesh):
 
 def test_optimize_cost_history_monotone(mesh):
     params = CostParams(weight=0.5, flux=0.0, dirichlet=1.0)
-    res = optimize(mesh, params, 0.0)
+    res = ControlProblem(mesh, params).optimize(0.0)
     assert res.converged
     hist = res.cost_history
     assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
@@ -145,7 +138,7 @@ def test_optimize_multistart_agreement(mesh):
     costs = []
     for _ in range(3):
         g0 = rng.uniform(-2, 2, mesh.num_vertices)
-        res = optimize(mesh, params, g0)
+        res = ControlProblem(mesh, params).optimize(g0)
         assert res.converged
         costs.append(res.cost)
     assert max(costs) - min(costs) <= 1e-6 * max(costs)

@@ -3,15 +3,13 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from vicontrol.assembly import coercivity_constant, h1_norm, l2_norm
+from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh, refine_uniform
-from vicontrol.vi import (
-    brute_force_oracle,
-    dump_solution,
-    make_obstacle_problem,
-    solve_pdas,
-    solve_psor,
-    verify_vi,
-)
+from vicontrol.vi import brute_force_oracle, dump_solution, solve_pdas, solve_psor, verify_vi
+
+
+def obstacle_problem(mesh, g, q, b):
+    return ControlProblem(mesh, CostParams(1.0, q, b)).as_obstacle_problem(g)
 
 
 @pytest.fixture
@@ -23,11 +21,11 @@ def random_problem(mesh, rng):
     g = rng.uniform(-60, 20, mesh.num_vertices)
     b = rng.uniform(0.02, 1.0)
     q = rng.uniform(-2, 2)
-    return make_obstacle_problem(mesh, g, float(q), float(b))
+    return obstacle_problem(mesh, g, float(q), float(b))
 
 
 def test_constant_solution_both_solvers(mesh3):
-    prob = make_obstacle_problem(mesh3, 0.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh3, 0.0, 0.0, 1.0)
     for solver in (solve_psor, solve_pdas):
         sol = solver(prob)
         assert sol.converged
@@ -36,7 +34,7 @@ def test_constant_solution_both_solvers(mesh3):
 
 
 def test_inactive_case_matches_linear_solve(mesh3):
-    prob = make_obstacle_problem(mesh3, 10.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh3, 10.0, 0.0, 1.0)
     free = prob.dofs.free_nodes
     dirichlet = prob.dofs.dirichlet_nodes
     a = prob.stiffness
@@ -50,7 +48,7 @@ def test_inactive_case_matches_linear_solve(mesh3):
 
 
 def test_active_case_matches_oracle(mesh3):
-    prob = make_obstacle_problem(mesh3, -50.0, 0.0, 0.05)
+    prob = obstacle_problem(mesh3, -50.0, 0.0, 0.05)
     oracle = brute_force_oracle(prob)
     assert oracle.active_set.size > 0
     for solver in (solve_psor, solve_pdas):
@@ -61,7 +59,7 @@ def test_active_case_matches_oracle(mesh3):
 
 
 def test_all_active_when_b_zero(mesh3):
-    prob = make_obstacle_problem(mesh3, -1.0, 0.0, 0.0)
+    prob = obstacle_problem(mesh3, -1.0, 0.0, 0.0)
     sol = solve_pdas(prob)
     assert np.all(sol.u == 0.0)
     assert np.array_equal(sol.active_set, prob.dofs.free_nodes)
@@ -70,20 +68,20 @@ def test_all_active_when_b_zero(mesh3):
 
 
 def test_pdas_one_update_when_inactive(mesh3):
-    prob = make_obstacle_problem(mesh3, 10.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh3, 10.0, 0.0, 1.0)
     sol = solve_pdas(prob)
     assert sol.iterations == 1
 
 
 def test_psor_rejects_bad_omega(mesh3):
-    prob = make_obstacle_problem(mesh3, 0.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh3, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         solve_psor(prob, omega=2.0)
 
 
 def test_psor_not_converged_flagged():
     mesh = build_rectangle_mesh(6, 6, gamma1_sides=("left",))
-    prob = make_obstacle_problem(mesh, 10.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh, 10.0, 0.0, 1.0)
     sol = solve_psor(prob, max_iter=1, tol=1e-14)
     assert not sol.converged
     assert sol.iterations == 1
@@ -91,12 +89,12 @@ def test_psor_not_converged_flagged():
 
 def test_negative_dirichlet_rejected(mesh3):
     with pytest.raises(ValueError):
-        make_obstacle_problem(mesh3, 0.0, 0.0, -1.0)
+        obstacle_problem(mesh3, 0.0, 0.0, -1.0)
 
 
 def test_brute_force_limits():
     mesh = build_rectangle_mesh(4, 4, gamma1_sides=("left",))  # 20 free nodes
-    prob = make_obstacle_problem(mesh, 0.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         brute_force_oracle(prob)
 
@@ -113,7 +111,7 @@ def test_brute_force_unique_partition(mesh3):
 
 
 def test_uniqueness_from_random_starts(mesh3):
-    prob = make_obstacle_problem(mesh3, -30.0, 1.0, 0.4)
+    prob = obstacle_problem(mesh3, -30.0, 1.0, 0.4)
     rng = np.random.default_rng(9)
     ref = solve_psor(prob, tol=1e-12).u
     for _ in range(5):
@@ -128,14 +126,14 @@ def test_cross_method_agreement_in_v_norm():
     rng = np.random.default_rng(17)
     for _ in range(5):
         g = rng.uniform(-40, 10, mesh.num_vertices)
-        prob = make_obstacle_problem(mesh, g, 0.5, 0.3)
+        prob = obstacle_problem(mesh, g, 0.5, 0.3)
         u1 = solve_psor(prob, tol=1e-12).u
         u2 = solve_pdas(prob, tol=1e-12).u
         assert h1_norm(u1 - u2, mesh) <= 1e-8
 
 
 def test_kkt_invariants_of_solution(mesh3):
-    prob = make_obstacle_problem(mesh3, -50.0, 0.0, 0.05)
+    prob = obstacle_problem(mesh3, -50.0, 0.0, 0.05)
     sol = solve_pdas(prob, tol=1e-12)
     tol = 1e-9 * prob.residual_scale()
     assert np.all(sol.u[prob.dofs.dirichlet_nodes] == 0.05)
@@ -151,7 +149,7 @@ def test_kkt_invariants_of_solution(mesh3):
 
 
 def test_verify_vi_probes(mesh3):
-    prob = make_obstacle_problem(mesh3, -50.0, 0.0, 0.05)
+    prob = obstacle_problem(mesh3, -50.0, 0.0, 0.05)
     sol = solve_pdas(prob, tol=1e-12)
     # v = u gives exactly zero
     assert verify_vi(prob, sol, [sol.u]) == pytest.approx(0.0, abs=1e-30)
@@ -167,7 +165,7 @@ def test_verify_vi_probes(mesh3):
 
 
 def test_verify_vi_rejects_infeasible_probe(mesh3):
-    prob = make_obstacle_problem(mesh3, 0.0, 0.0, 1.0)
+    prob = obstacle_problem(mesh3, 0.0, 0.0, 1.0)
     sol = solve_pdas(prob)
     bad = np.full(prob.size, -1.0)
     with pytest.raises(ValueError):
@@ -180,7 +178,7 @@ def test_uniform_bound_over_levels():
     norms = []
     mesh = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
     for _ in range(5):
-        prob = make_obstacle_problem(mesh, params_g, 0.0, 0.5)
+        prob = obstacle_problem(mesh, params_g, 0.0, 0.5)
         sol = solve_pdas(prob, tol=1e-12)
         assert sol.converged
         norms.append(h1_norm(sol.u, mesh))
@@ -197,8 +195,8 @@ def test_lipschitz_bound_random_pairs():
     for _ in range(20):
         g1 = rng.uniform(-10, 10, mesh.num_vertices)
         g2 = rng.uniform(-10, 10, mesh.num_vertices)
-        u1 = solve_pdas(make_obstacle_problem(mesh, g1, 0.0, 0.5), tol=1e-12).u
-        u2 = solve_pdas(make_obstacle_problem(mesh, g2, 0.0, 0.5), tol=1e-12).u
+        u1 = solve_pdas(obstacle_problem(mesh, g1, 0.0, 0.5), tol=1e-12).u
+        u2 = solve_pdas(obstacle_problem(mesh, g2, 0.0, 0.5), tol=1e-12).u
         lhs = h1_norm(u2 - u1, mesh)
         rhs = l2_norm(g2 - g1, mesh) / lam
         assert lhs <= rhs + 1e-9
@@ -209,18 +207,18 @@ def test_strong_continuity_in_g():
     mesh = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
     rng = np.random.default_rng(37)
     g = rng.uniform(-20, 5, mesh.num_vertices)
-    u = solve_pdas(make_obstacle_problem(mesh, g, 0.0, 0.3), tol=1e-12).u
+    u = solve_pdas(obstacle_problem(mesh, g, 0.0, 0.3), tol=1e-12).u
     d = rng.normal(size=mesh.num_vertices)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
-        un = solve_pdas(make_obstacle_problem(mesh, g + eps * d, 0.0, 0.3), tol=1e-12).u
+        un = solve_pdas(obstacle_problem(mesh, g + eps * d, 0.0, 0.3), tol=1e-12).u
         errs.append(h1_norm(un - u, mesh))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-2
 
 
 def test_solution_dump(tmp_path, mesh3):
-    prob = make_obstacle_problem(mesh3, -50.0, 0.0, 0.05)
+    prob = obstacle_problem(mesh3, -50.0, 0.0, 0.05)
     sol = solve_pdas(prob)
     path = tmp_path / "sol.csv"
     dump_solution(mesh3, sol, path)
