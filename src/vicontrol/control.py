@@ -148,7 +148,9 @@ class ControlProblem:
         """Minimize the cost from g0; monotone descent via Armijo backtracking.
 
         The first trial step per iteration is the Barzilai-Borwein length from
-        the latest curvature pair (fall back to 1 when it is unusable).
+        the latest curvature pair (fall back to 1 when it is unusable). A state
+        solve that misses the tolerance, trial steps included, raises
+        SolverError.
         """
         g = interpolate(self.mesh, g0).copy()
         state = self.solve_state(g)
@@ -181,11 +183,7 @@ class ControlProblem:
             accepted = False
             for _ in range(60):
                 g_try = g - step * grad
-                try:
-                    state_try = self.solve_state(g_try, warm_start=state.u)
-                except SolverError:
-                    step *= backtrack
-                    continue
+                state_try = self.solve_state(g_try, warm_start=state.u)
                 report_try = self.cost(g_try, state_try)
                 if report_try.cost <= report.cost + armijo * step * slope:
                     accepted = True

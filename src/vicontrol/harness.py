@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import assemble_mass, coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
-from .mesh import Mesh, interpolate, prolongate, refine_times, refine_uniform
+from .mesh import Mesh, prolongate, refine_times, refine_uniform
 
 
 @dataclass
@@ -36,7 +36,8 @@ class ConvergenceTable:
     rows: list[ConvergenceRow] = field(default_factory=list)
     rate_v: float = float("nan")
     rate_h: float = float("nan")
-    rate_cost: float = float("nan")
+    oracle_level: int = -1
+    oracle_cost: float = float("nan")
 
     def csv_lines(self) -> list[str]:
         lines = ["level,h,error_V,error_H,cost,control_distance"]
@@ -91,11 +92,16 @@ def random_control(
     return g
 
 
-def _mesh_hierarchy(base: Mesh, levels: int) -> list[Mesh]:
+def _levels(base: Mesh, levels: int, oracle_extra_levels: int) -> tuple[list[Mesh], Mesh]:
+    """base and its levels-1 uniform refinements, and the oracle mesh above the finest."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    if oracle_extra_levels < 1:
+        raise ValueError("oracle_extra_levels must be >= 1")
     meshes = [base]
     for _ in range(levels - 1):
         meshes.append(refine_uniform(meshes[-1]))
-    return meshes
+    return meshes, refine_times(meshes[-1], oracle_extra_levels)
 
 
 def run_state_convergence(
@@ -105,29 +111,26 @@ def run_state_convergence(
     levels: int = 4,
     oracle_extra_levels: int = 2,
 ) -> ConvergenceTable:
-    """Errors of the state solution against a fine-mesh oracle, per level.
+    """Errors of the state solution against a fine-mesh oracle, per level,
+    with each level's cost and the oracle's cost.
 
     g is a callable or constant, interpolated on each mesh. Coarse solutions
-    are prolongated to the oracle mesh, where all norms are computed.
+    are prolongated to the oracle mesh, where all norms are computed. Every
+    mesh is built and every problem solved once.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if oracle_extra_levels < 1:
-        raise ValueError("oracle_extra_levels must be >= 1")
-    meshes = _mesh_hierarchy(base_mesh, levels)
-    oracle_mesh = refine_times(meshes[-1], oracle_extra_levels)
-
+    meshes, oracle_mesh = _levels(base_mesh, levels, oracle_extra_levels)
     oracle_cp = ControlProblem(oracle_mesh, params)
-    u_oracle = oracle_cp.solve_state(interpolate(oracle_mesh, g)).u
-    a_o = oracle_cp.stiffness
-    m_o = oracle_cp.mass
+    oracle = oracle_cp.cost(g)
+    a_o, m_o = oracle_cp.stiffness, oracle_cp.mass
 
     table = ConvergenceTable(
-        reference=f"state oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})"
+        reference=f"state oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
+        oracle_level=oracle_mesh.level,
+        oracle_cost=oracle.cost,
     )
     for mesh in meshes:
         report = ControlProblem(mesh, params).cost(g)
-        diff = prolongate(mesh, report.state.u, oracle_mesh) - u_oracle
+        diff = prolongate(mesh, report.state.u, oracle_mesh) - oracle.state.u
         table.rows.append(
             ConvergenceRow(
                 level=mesh.level,
@@ -143,23 +146,19 @@ def run_state_convergence(
     return table
 
 
-def run_cost_convergence(
-    base_mesh: Mesh,
-    g,
-    params: CostParams,
-    levels: int = 4,
-    oracle_extra_levels: int = 2,
-) -> dict:
-    """Per-level gap |J_level(g) - J_oracle(g)| and its fitted rate."""
-    meshes = _mesh_hierarchy(base_mesh, levels)
-    oracle_mesh = refine_times(meshes[-1], oracle_extra_levels)
-    j_oracle = ControlProblem(oracle_mesh, params).cost(g).cost
-    rows = []
-    for mesh in meshes:
-        j = ControlProblem(mesh, params).cost(g).cost
-        rows.append({"level": mesh.level, "h": mesh.h, "cost": j, "gap": abs(j - j_oracle)})
-    rate = fit_rate([r["h"] for r in rows], [r["gap"] for r in rows])
-    return {"oracle_cost": j_oracle, "oracle_level": oracle_mesh.level, "rows": rows, "rate": rate}
+def run_cost_convergence(table: ConvergenceTable) -> dict:
+    """Per-level gap |J_level(g) - J_oracle(g)| and its fitted rate, read off
+    a run_state_convergence table."""
+    rows = [
+        {"level": r.level, "h": r.h, "cost": r.cost, "gap": abs(r.cost - table.oracle_cost)}
+        for r in table.rows
+    ]
+    return {
+        "oracle_cost": table.oracle_cost,
+        "oracle_level": table.oracle_level,
+        "rows": rows,
+        "rate": fit_rate([r["h"] for r in rows], [r["gap"] for r in rows]),
+    }
 
 
 def run_control_convergence(
@@ -171,8 +170,7 @@ def run_control_convergence(
     max_iter: int = 500,
 ) -> ConvergenceTable:
     """Distances of per-level optimal controls/states to the finest-level run."""
-    meshes = _mesh_hierarchy(base_mesh, levels)
-    oracle_mesh = refine_times(meshes[-1], oracle_extra_levels)
+    meshes, oracle_mesh = _levels(base_mesh, levels, oracle_extra_levels)
 
     results = []
     for mesh in meshes + [oracle_mesh]:
@@ -188,7 +186,9 @@ def run_control_convergence(
     oracle_cp, oracle_res = results[-1]
     a_o, m_o = oracle_cp.stiffness, oracle_cp.mass
     table = ConvergenceTable(
-        reference=f"optimizer oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})"
+        reference=f"optimizer oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
+        oracle_level=oracle_mesh.level,
+        oracle_cost=oracle_res.cost,
     )
     for cp, res in results[:-1]:
         du = prolongate(cp.mesh, res.state.u, oracle_mesh) - oracle_res.state.u

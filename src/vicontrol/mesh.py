@@ -77,38 +77,22 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     xx, yy = np.meshgrid(xs, ys)  # row-major: vertex iy*(nx+1)+ix
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
+    # lower-left vertex of each cell, cells row-major
+    stride = nx + 1
+    ix = np.arange(nx, dtype=np.int64)
+    iy = np.arange(ny, dtype=np.int64)
+    v00 = (iy[:, None] * stride + ix).ravel()
+    v10, v01, v11 = v00 + 1, v00 + stride, v00 + stride + 1
+    # diagonal v00 -> v11, both children counterclockwise
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            # diagonal v00 -> v11, both children counterclockwise
-            triangles[t] = (v00, v10, v11)
-            triangles[t + 1] = (v00, v11, v01)
-            t += 2
-
-    edges = []
-    tags = []
-
-    def tag_for(side):
-        return BoundaryTag.GAMMA1 if side in sides else BoundaryTag.GAMMA2
-
-    for ix in range(nx):
-        edges.append((vid(ix, 0), vid(ix + 1, 0)))
-        tags.append(tag_for("bottom"))
-        edges.append((vid(ix, ny), vid(ix + 1, ny)))
-        tags.append(tag_for("top"))
-    for iy in range(ny):
-        edges.append((vid(0, iy), vid(0, iy + 1)))
-        tags.append(tag_for("left"))
-        edges.append((vid(nx, iy), vid(nx, iy + 1)))
-        tags.append(tag_for("right"))
+    # bottom/top edges interleaved per column, then left/right per row
+    horizontal = np.column_stack([ix, ix + ny * stride]).ravel()
+    vertical = np.column_stack([iy * stride, iy * stride + nx]).ravel()
+    starts = np.concatenate([horizontal, vertical])
+    edges = np.column_stack([starts, starts + np.repeat([1, stride], [2 * nx, 2 * ny])])
+    tag = {s: BoundaryTag.GAMMA1 if s in sides else BoundaryTag.GAMMA2 for s in SIDES}
+    tags = [tag["bottom"], tag["top"]] * nx + [tag["left"], tag["right"]] * ny
 
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny
@@ -116,7 +100,7 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     return Mesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=np.array(edges, dtype=np.int64),
+        boundary_edges=edges,
         boundary_tags=np.array(tags, dtype=object),
         h=h,
         level=0,

@@ -104,7 +104,7 @@ def test_05_smooth_state_and_cost_convergence():
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     t0 = time.perf_counter()
     table = harness.run_state_convergence(base, 10.0, params, levels=5, oracle_extra_levels=3)
-    cost = harness.run_cost_convergence(base, 10.0, params, levels=5, oracle_extra_levels=3)
+    cost = harness.run_cost_convergence(table)
     elapsed = time.perf_counter() - t0
     errs = [r.error_v for r in table.rows]
     gaps = [r["gap"] for r in cost["rows"]]

@@ -265,6 +265,29 @@ def test_solver_nonconvergence_exit_code(tmp_path):
     assert (tmp_path / "out" / "solution.csv").exists()
 
 
+def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
+    # the initial state reaches tol 1e-300 but the first trial step's does not
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, g=-50.0, tol=1e-300, out=str(tmp_path / "out")
+    )
+    outcomes = []
+    solve_state = cli.ControlProblem.solve_state
+
+    def recording(self, *args, **kwargs):
+        try:
+            sol = solve_state(self, *args, **kwargs)
+        except cli.SolverError:
+            outcomes.append("failed")
+            raise
+        outcomes.append("converged")
+        return sol
+
+    monkeypatch.setattr(cli.ControlProblem, "solve_state", recording)
+    assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 2
+    assert outcomes == ["converged", "failed"]  # no retry after the failed trial
+    assert "during optimization" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])
 def test_tolerance_reaches_every_command(tmp_path, command):
     cfg = write_config(
@@ -314,10 +337,12 @@ def test_flux_from_file_matches_constant(tmp_path):
         # nodal files for the default 8x8 mesh, which has 81 vertices
         ("solve", "q", {"type": "file", "values": 7}),
         ("sweep", "q", {"type": "file", "values": 81}),
+        ("solve", "g", {"type": "affine", "a": 1.0e308, "bx": 1.0e308}),  # inf at x = 1
+        ("solve", "nx", 10**26),  # numpy refuses the size before allocating
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):
-    if isinstance(value, dict):
+    if isinstance(value, dict) and value["type"] == "file":
         np.savetxt(tmp_path / "q.txt", np.zeros(value["values"]))
         value = {"type": "file", "path": str(tmp_path / "q.txt")}
     cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value})

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from vicontrol import harness
+from vicontrol import control, harness
 from vicontrol.assembly import assemble_mass, assemble_stiffness, h1_norm, l2_norm
 from vicontrol.control import CostParams
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_times
+from vicontrol.vi import solve_pdas
 
 
 @pytest.fixture
@@ -54,7 +55,8 @@ def test_state_convergence_smooth_case(base):
 
 def test_cost_convergence_smooth_case(base):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    run = harness.run_cost_convergence(base, 10.0, params, levels=4, oracle_extra_levels=2)
+    table = harness.run_state_convergence(base, 10.0, params, levels=4, oracle_extra_levels=2)
+    run = harness.run_cost_convergence(table)
     gaps = [r["gap"] for r in run["rows"]]
     assert all(gaps[k + 1] < gaps[k] for k in range(len(gaps) - 1))
     assert run["rate"] >= 0.5
@@ -62,8 +64,34 @@ def test_cost_convergence_smooth_case(base):
 
 def test_cost_convergence_exact_case(base):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    run = harness.run_cost_convergence(base, 0.0, params, levels=3, oracle_extra_levels=2)
+    table = harness.run_state_convergence(base, 0.0, params, levels=3, oracle_extra_levels=2)
+    run = harness.run_cost_convergence(table)
     assert all(r["gap"] <= 1e-11 for r in run["rows"])
+
+
+def test_sweep_solves_each_problem_once(base, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_pdas(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_pdas", counting)
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    table = harness.run_state_convergence(base, 10.0, params, levels=3, oracle_extra_levels=2)
+    run = harness.run_cost_convergence(table)
+    assert len(calls) == 3 + 1  # three levels and the oracle
+    assert run["oracle_level"] == 4
+    assert [r["cost"] for r in run["rows"]] == [r.cost for r in table.rows]
+
+
+@pytest.mark.parametrize("levels, extra", [(0, 1), (2, 0)])
+def test_convergence_studies_reject_empty_hierarchy(base, levels, extra):
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    with pytest.raises(ValueError):
+        harness.run_state_convergence(base, 10.0, params, levels, extra)
+    with pytest.raises(ValueError):
+        harness.run_control_convergence(base, params, levels, extra)
 
 
 def test_control_convergence_trivial_optimum(base):

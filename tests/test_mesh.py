@@ -26,6 +26,47 @@ def test_two_by_two_counts():
     assert m.num_triangles == 8
 
 
+def test_two_by_one_connectivity_and_edge_order():
+    m = build_rectangle_mesh(2, 1, gamma1_sides=("left", "top"))
+    assert m.triangles.dtype == np.int64 and m.boundary_edges.dtype == np.int64
+    assert m.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
+    # bottom/top per column, then left/right per row
+    assert m.boundary_edges.tolist() == [[0, 1], [3, 4], [1, 2], [4, 5], [0, 3], [2, 5]]
+    g1, g2 = BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
+    assert list(m.boundary_tags) == [g2, g1, g2, g1, g1, g2]
+
+
+def loop_connectivity(nx, ny, sides):
+    """Reference: the cell-by-cell loops that the index arithmetic replaces."""
+    def vid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    triangles = []
+    for iy in range(ny):
+        for ix in range(nx):
+            v00, v10, v01, v11 = vid(ix, iy), vid(ix + 1, iy), vid(ix, iy + 1), vid(ix + 1, iy + 1)
+            triangles += [(v00, v10, v11), (v00, v11, v01)]
+    edges, tags = [], []
+    for ix in range(nx):
+        edges += [(vid(ix, 0), vid(ix + 1, 0)), (vid(ix, ny), vid(ix + 1, ny))]
+        tags += ["bottom", "top"]
+    for iy in range(ny):
+        edges += [(vid(0, iy), vid(0, iy + 1)), (vid(nx, iy), vid(nx, iy + 1))]
+        tags += ["left", "right"]
+    tags = [BoundaryTag.GAMMA1 if t in sides else BoundaryTag.GAMMA2 for t in tags]
+    return triangles, edges, tags
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (4, 1), (3, 7), (16, 16)])
+@pytest.mark.parametrize("sides", [("left",), ("bottom", "right"), msh.SIDES])
+def test_connectivity_matches_loop_reference(nx, ny, sides):
+    m = build_rectangle_mesh(nx, ny, domain=(-1.0, 0.0, 2.0, 0.5), gamma1_sides=sides)
+    triangles, edges, tags = loop_connectivity(nx, ny, sides)
+    assert m.triangles.tolist() == [list(t) for t in triangles]
+    assert m.boundary_edges.tolist() == [list(e) for e in edges]
+    assert list(m.boundary_tags) == tags
+
+
 def test_empty_gamma1_rejected():
     with pytest.raises(ValueError):
         build_rectangle_mesh(1, 1, gamma1_sides=())
