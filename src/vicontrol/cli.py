@@ -305,10 +305,6 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
-    # every level interpolates q and g on its own mesh, which a nodal file cannot follow
-    for name in ("q", "g"):
-        if isinstance(make_field_spec(getattr(cfg, name)), np.ndarray):
-            raise ConfigError(f"sweep needs a functional {name} spec (constant/affine/gauss)")
     try:
         table = harness.run_state_convergence(
             mesh, make_field_spec(cfg.g), params, cfg.levels, cfg.oracle_extra_levels
@@ -423,8 +419,12 @@ def main(argv=None) -> int:
         "scan": cmd_scan,
     }[args.command]
     try:
-        out = _prepare_out(cfg)
         mesh, params = _build(cfg)
+        # every sweep level interpolates q and g on its own mesh, which a nodal file cannot follow
+        for name in ("q", "g") if args.command == "sweep" else ():
+            if isinstance(make_field_spec(getattr(cfg, name)), np.ndarray):
+                raise ConfigError(f"sweep needs a functional {name} spec (constant/affine/gauss)")
+        out = _prepare_out(cfg)  # the first write: every check that can reject cfg is above
         return handler(cfg, out, mesh, params, args.quiet)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .assembly import assemble_mass, coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
-from .mesh import Mesh, prolongate, refine_times, refine_uniform
+from .mesh import Mesh, interpolate, prolongate, refine_times, refine_uniform
+from .vi import SolverError
 
 
 @dataclass
@@ -114,30 +115,39 @@ def run_state_convergence(
     """Errors of the state solution against a fine-mesh oracle, per level,
     with each level's cost and the oracle's cost.
 
-    g is a callable or constant, interpolated on each mesh. Coarse solutions
-    are prolongated to the oracle mesh, where all norms are computed. Every
-    mesh is built and every problem solved once.
+    g is a callable or constant, interpolated on each mesh. The levels, then
+    the oracle, are solved once each, coarse to fine, each warm-started from
+    the state before it prolongated (nested iteration); a failed solve raises
+    SolverError naming its level. Norms are computed on the oracle mesh.
     """
     meshes, oracle_mesh = _levels(base_mesh, levels, oracle_extra_levels)
-    oracle_cp = ControlProblem(oracle_mesh, params)
-    oracle = oracle_cp.cost(g)
-    a_o, m_o = oracle_cp.stiffness, oracle_cp.mass
+    solved = []  # (mesh, nodal state, cost) per level, coarse to fine, then the oracle
+    for mesh in meshes + [oracle_mesh]:
+        cp = ControlProblem(mesh, params)
+        warm_start = prolongate(solved[-1][0], solved[-1][1], mesh) if solved else None
+        g_h = interpolate(mesh, g)
+        try:
+            state = cp.solve_state(g_h, warm_start)
+        except SolverError as exc:
+            raise SolverError(f"level {mesh.level} ({mesh.nx}x{mesh.ny}): {exc}", exc.solution)
+        solved.append((mesh, state.u, cp.cost(g_h, state).cost))
+    _, oracle_u, oracle_cost = solved.pop()
+    a_o, m_o = cp.stiffness, cp.mass  # the oracle's, solved last
 
     table = ConvergenceTable(
         reference=f"state oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
         oracle_level=oracle_mesh.level,
-        oracle_cost=oracle.cost,
+        oracle_cost=oracle_cost,
     )
-    for mesh in meshes:
-        report = ControlProblem(mesh, params).cost(g)
-        diff = prolongate(mesh, report.state.u, oracle_mesh) - oracle.state.u
+    for mesh, u, cost in solved:
+        diff = prolongate(mesh, u, oracle_mesh) - oracle_u
         table.rows.append(
             ConvergenceRow(
                 level=mesh.level,
                 h=mesh.h,
                 error_v=h1_norm(diff, oracle_mesh, a_o, m_o),
                 error_h=l2_norm(diff, oracle_mesh, m_o),
-                cost=report.cost,
+                cost=cost,
             )
         )
     hs = [r.h for r in table.rows]

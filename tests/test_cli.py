@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -289,7 +290,7 @@ def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])
-def test_tolerance_reaches_every_command(tmp_path, command):
+def test_tolerance_reaches_every_command(tmp_path, capsys, command):
     cfg = write_config(
         tmp_path / "cfg.yaml",
         nx=4,
@@ -305,6 +306,8 @@ def test_tolerance_reaches_every_command(tmp_path, command):
         out=str(tmp_path / "out"),
     )
     assert cli.main(["--config", cfg, "--quiet", command]) == 2
+    if command == "sweep":
+        assert re.search(r"level \d+ \(\d+x\d+\): state solve", capsys.readouterr().err)
 
 
 def test_flux_from_file_matches_constant(tmp_path):
@@ -348,6 +351,7 @@ def test_config_fault_names_key(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value})
     assert cli.main(["--config", cfg, "--quiet", command]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "config.yaml").exists()  # rejected before any write
 
 
 def test_every_config_field_has_a_kind():

@@ -5,7 +5,7 @@ from vicontrol import control, harness
 from vicontrol.assembly import assemble_mass, assemble_stiffness, h1_norm, l2_norm
 from vicontrol.control import CostParams
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_times
-from vicontrol.vi import solve_pdas
+from vicontrol.vi import SolverError, solve_pdas
 
 
 @pytest.fixture
@@ -83,6 +83,58 @@ def test_sweep_solves_each_problem_once(base, monkeypatch):
     assert len(calls) == 3 + 1  # three levels and the oracle
     assert run["oracle_level"] == 4
     assert [r["cost"] for r in run["rows"]] == [r.cost for r in table.rows]
+
+
+def test_nested_iteration_changes_no_bits(monkeypatch):
+    iterations = []  # (unknowns, PDAS iterations) per solve
+
+    def counting(problem, **kwargs):
+        sol = solve_pdas(problem, **kwargs)
+        iterations.append((problem.size, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(control, "solve_pdas", counting)
+    base4 = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    table = harness.run_state_convergence(base4, -50.0, params, levels=4, oracle_extra_levels=2)
+
+    # the same problems solved cold, one mesh at a time
+    oracle_cp = control.ControlProblem(refine_times(base4, 5), params)
+    oracle = oracle_cp.cost(-50.0)
+    oracle_solves = [it for n, it in iterations if n == oracle_cp.mesh.num_vertices]
+    assert len(oracle_solves) == 2
+    warm_oracle_iterations, cold_oracle_iterations = oracle_solves
+    assert table.oracle_cost == oracle.cost
+    for k, row in enumerate(table.rows):
+        mesh = refine_times(base4, k)
+        report = control.ControlProblem(mesh, params).cost(-50.0)
+        diff = prolongate(mesh, report.state.u, oracle_cp.mesh) - oracle.state.u
+        assert row.cost == report.cost
+        assert row.error_v == h1_norm(diff, oracle_cp.mesh, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_h == l2_norm(diff, oracle_cp.mesh, oracle_cp.mass)
+    assert oracle.state.active_set.size > 0  # the obstacle is active
+    assert warm_oracle_iterations < cold_oracle_iterations
+
+
+def test_psor_sweep_agrees_with_pdas_sweep(base):
+    def g(x, y):
+        return -40.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.08)
+
+    tables = [
+        harness.run_state_convergence(
+            base, g, CostParams(1.0, 0.0, 0.05, solver=solver), levels=3, oracle_extra_levels=1
+        )
+        for solver in ("pdas", "psor")
+    ]
+    assert tables[1].rate_v == pytest.approx(tables[0].rate_v, rel=1e-6)
+    assert tables[1].rate_h == pytest.approx(tables[0].rate_h, rel=1e-6)
+
+
+def test_failed_solve_names_its_level(base):
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0, tol=1e-300)
+    with pytest.raises(SolverError, match=r"^level \d+ \(\d+x\d+\): state solve") as info:
+        harness.run_state_convergence(base, 10.0, params, levels=2, oracle_extra_levels=1)
+    assert info.value.solution is not None
 
 
 @pytest.mark.parametrize("levels, extra", [(0, 1), (2, 0)])

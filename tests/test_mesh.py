@@ -92,6 +92,19 @@ def test_refine_quadruples_triangles():
     assert f.level == 1 and m.level == 0
 
 
+def test_refine_times_equals_repeated_refinement():
+    m = build_rectangle_mesh(3, 2, domain=(0, 0, 2, 1), gamma1_sides=("left", "top"))
+    stepwise = refine_uniform(refine_uniform(refine_uniform(m)))
+    at_once = msh.refine_times(m, 3)
+    assert (at_once.h, at_once.level, at_once.nx, at_once.ny) == (
+        stepwise.h, stepwise.level, stepwise.nx, stepwise.ny
+    )
+    assert np.array_equal(at_once.vertices, stepwise.vertices)
+    assert np.array_equal(at_once.triangles, stepwise.triangles)
+    assert np.array_equal(at_once.boundary_edges, stepwise.boundary_edges)
+    assert list(at_once.boundary_tags) == list(stepwise.boundary_tags)
+
+
 def test_mesh_size_values():
     assert mesh_size(build_rectangle_mesh(1, 1)) == pytest.approx(np.sqrt(2))
     assert mesh_size(build_rectangle_mesh(4, 4)) == pytest.approx(np.sqrt(2) / 4)
