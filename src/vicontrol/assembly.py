@@ -85,7 +85,11 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
         4.0 * areas[:, None, None]
     )
-    return _assemble(mesh, local)
+    a = _assemble(mesh, local)
+    # the hypotenuse couplings of right triangles with axis-parallel legs are
+    # exact zeros: dropping them leaves the 5-point stencil
+    a.eliminate_zeros()
+    return a
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

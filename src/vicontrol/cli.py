@@ -96,6 +96,11 @@ class RunConfig:
         x0, y0, x1, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             problems.append(f"domain rectangle is degenerate: {self.domain}")
+        elif 1 <= min(self.nx, self.ny) and max(self.nx, self.ny) <= sys.float_info.max:
+            dx, dy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
+            cell = (dx * dx, dy * dy, dx * dy)  # areas and stiffness entries need these normal
+            if not all(sys.float_info.min <= v <= sys.float_info.max for v in cell):
+                problems.append(f"domain/nx/ny: cells of {dx!r} x {dy!r} leave the float range")
         if self.b < 0:
             problems.append(f"b must be >= 0 (got b={self.b})")
         if self.M <= 0:

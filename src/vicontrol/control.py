@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     assemble_boundary_flux,
@@ -22,7 +21,7 @@ from .assembly import (
     dof_map,
 )
 from .mesh import Mesh, interpolate
-from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor
+from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor, solve_reduced
 
 
 @dataclass(frozen=True)
@@ -125,16 +124,10 @@ class ControlProblem:
         g = interpolate(self.mesh, g)
         if state is None:
             state = self.solve_state(g)
-        active_mask = np.zeros(self.mesh.num_vertices, dtype=bool)
-        active_mask[state.active_set] = True
-        inactive = self.dofs.free_nodes[~active_mask[self.dofs.free_nodes]]
+        inactive = np.setdiff1d(self.dofs.free_nodes, state.active_set)
         p = np.zeros(self.mesh.num_vertices)
         if inactive.size:
-            a_ii = self.stiffness[np.ix_(inactive, inactive)].tocsc()
-            rhs = (self.mass @ state.u)[inactive]
-            p[inactive] = spla.spsolve(a_ii, rhs)
-            if not np.all(np.isfinite(p[inactive])):
-                raise SolverError("singular reduced system in adjoint solve")
+            p[inactive] = solve_reduced(self.stiffness, inactive, (self.mass @ state.u)[inactive])
         return self.params.weight * g + p
 
     def optimize(

@@ -90,16 +90,20 @@ def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarra
 
 def _finalize(problem, u, iters, converged, method, tol_abs) -> VISolution:
     free = problem.dofs.free_nodes
-    res = _complementarity_residual(problem, u)
     active = free[u[free] <= tol_abs]
-    return VISolution(
-        u=u,
-        active_set=active,
-        complementarity_residual=res,
-        iterations=iters,
-        converged=converged,
-        method=method,
-    )
+    return VISolution(u, active, _complementarity_residual(problem, u), iters, converged, method)
+
+
+def solve_reduced(stiffness: sp.csr_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A[nodes, nodes] x = rhs (a PDAS step or an adjoint) by sparse LU,
+    ordered by minimum degree on A + A^T since A is SPD on free nodes. SuperLU
+    signals overflow or singularity by non-finite values: those raise SolverError."""
+    if not np.all(np.isfinite(rhs)):
+        raise SolverError("right-hand side of the reduced system is not finite")
+    x = spla.spsolve(stiffness[np.ix_(nodes, nodes)].tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("solution of the reduced system is not finite")
+    return x
 
 
 def solve_psor(
@@ -151,7 +155,7 @@ def solve_pdas(
     From the multiplier estimate mu = f - A u, a free node is predicted
     active when u + mu/c < 0 (ties count as inactive, so a strictly interior
     solution is a fixed point of the all-inactive set). The reduced system on
-    the inactive nodes is solved exactly with a sparse direct factorization.
+    the inactive nodes is solved exactly by `solve_reduced`.
     """
     if c <= 0:
         raise ValueError(f"active-set weight c must be > 0, got {c}")
@@ -164,31 +168,20 @@ def solve_pdas(
     tol_abs = tol * problem.residual_scale()
 
     mu = f - a @ u
-    active_mask = (u[free] + mu[free] / c) < 0.0
-    older_mask = None
+    older_mask = active_mask = (u[free] + mu[free] / c) < 0.0
     for it in range(1, max_iter + 1):
         inactive = free[~active_mask]
         u = np.zeros(problem.size)
         u[dirichlet] = b
         if inactive.size:
-            a_ii = a[np.ix_(inactive, inactive)].tocsc()
             rhs = f[inactive] - a[inactive][:, dirichlet] @ np.full(dirichlet.size, b)
-            try:
-                u[inactive] = spla.spsolve(a_ii, rhs)
-            except RuntimeError as exc:
-                raise SolverError("singular reduced system in active-set solve") from exc
-            if not np.all(np.isfinite(u[inactive])):
-                raise SolverError("singular reduced system in active-set solve")
+            u[inactive] = solve_reduced(a, inactive, rhs)
         mu = f - a @ u
         new_mask = (u[free] + mu[free] / c) < 0.0
-        if np.array_equal(new_mask, active_mask) and _complementarity_residual(
-            problem, u
-        ) <= tol_abs:
+        # accept a fixed point, or a two-cycle, of the active set within tolerance
+        settled = np.array_equal(new_mask, active_mask) or np.array_equal(new_mask, older_mask)
+        if settled and _complementarity_residual(problem, u) <= tol_abs:
             return _finalize(problem, u, it, True, "pdas", tol_abs)
-        if older_mask is not None and np.array_equal(new_mask, older_mask):
-            # two-cycle guard: accept if already within tolerance
-            if _complementarity_residual(problem, u) <= tol_abs:
-                return _finalize(problem, u, it, True, "pdas", tol_abs)
         older_mask, active_mask = active_mask, new_mask
     return _finalize(problem, u, max_iter, False, "pdas", tol_abs)
 

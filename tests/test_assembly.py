@@ -60,6 +60,18 @@ def test_galerkin_consistency_for_affine_pairs():
     assert v @ (a @ u) == pytest.approx(-12.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("domain", [(0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0)])
+@pytest.mark.parametrize("sides", [("left",), ("left", "top")])
+def test_stiffness_stores_the_five_point_stencil(domain, sides):
+    mesh = build_rectangle_mesh(5, 3, domain, sides)
+    a = assemble_stiffness(mesh)
+    assert a.nnz == np.count_nonzero(a.data)  # no explicit zeros
+    x, y = mesh.vertices.T
+    interior = (x > domain[0]) & (x < domain[2]) & (y > domain[1]) & (y < domain[3])
+    assert interior.sum() == 4 * 2
+    assert np.all(np.diff(a.indptr)[interior] == 5)
+
+
 def test_mass_total_and_ones():
     m = refine_uniform(build_rectangle_mesh(2, 2))
     mh = assemble_mass(m)

@@ -289,6 +289,17 @@ def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
     assert "during optimization" in capsys.readouterr().err
 
 
+def test_overflowing_reduced_rhs_is_named(tmp_path, capsys):
+    # A_II is SPD; the free node next to the left-top corner couples to two
+    # Dirichlet nodes, so A_ID b overflows and the right-hand side is the fault
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=4, ny=4, b=1.0e308, gamma1_sides=["left", "top"],
+        out=str(tmp_path / "out"),
+    )
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
+    assert "right-hand side of the reduced system is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])
 def test_tolerance_reaches_every_command(tmp_path, capsys, command):
     cfg = write_config(
@@ -342,6 +353,10 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("sweep", "q", {"type": "file", "values": 81}),
         ("solve", "g", {"type": "affine", "a": 1.0e308, "bx": 1.0e308}),  # inf at x = 1
         ("solve", "nx", 10**26),  # numpy refuses the size before allocating
+        # cells whose dx*dx, dy*dy or dx*dy overflow or fall below the smallest normal float
+        ("solve", "domain", [0, 0, 1.0e308, 1.0e308]),
+        ("solve", "domain", [0, 0, 1.0e-300, 1.0e-300]),
+        ("solve", "domain", [0, 0, 1, 1.0e160]),
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from vicontrol import control
 from vicontrol.control import ControlProblem, CostParams, convex_combination_states
 from vicontrol.mesh import build_rectangle_mesh
 
@@ -234,3 +236,49 @@ def test_strict_convexity_surrogate(mesh):
         bound = 0.5 * params.weight * mu * (1 - mu) * cp.l2_norm(g2 - g1) ** 2
         assert gap >= bound - 1e-9
     assert checked > 0
+
+
+def test_every_reduced_solve_is_one_minimum_degree_spsolve(monkeypatch):
+    # b = 1, g = -10: every PDAS iteration and every adjoint has a nonempty
+    # inactive set (at b = 0.05, g = -50 the first state is all active)
+    mesh = build_rectangle_mesh(16, 16, gamma1_sides=("left",))
+    cp = ControlProblem(mesh, CostParams(weight=1.0, flux=0.0, dirichlet=1.0))
+    orderings, pdas_iters, gradients = [], [], []
+    spsolve, solve_pdas, gradient = spla.spsolve, control.solve_pdas, ControlProblem.gradient
+
+    def recording_spsolve(a, b, **kwargs):
+        orderings.append(kwargs.get("permc_spec"))
+        return spsolve(a, b, **kwargs)
+
+    def recording_pdas(*args, **kwargs):
+        sol = solve_pdas(*args, **kwargs)
+        pdas_iters.append(sol.iterations)
+        return sol
+
+    def recording_gradient(self, *args, **kwargs):
+        gradients.append(1)
+        return gradient(self, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve", recording_spsolve)
+    monkeypatch.setattr(control, "solve_pdas", recording_pdas)
+    monkeypatch.setattr(ControlProblem, "gradient", recording_gradient)
+    res = cp.optimize(-10.0)
+    assert res.converged and res.iterations > 0
+    assert len(orderings) == sum(pdas_iters) + len(gradients)
+    assert set(orderings) == {"MMD_AT_PLUS_A"}
+
+    # the initial state, which touches the obstacle, and its adjoint against
+    # dense solves on the same inactive set
+    g = np.full(mesh.num_vertices, -10.0)
+    state = cp.solve_state(g)
+    assert 0 < state.active_set.size < cp.dofs.free_nodes.size
+    a = cp.stiffness.toarray()
+    inactive = np.setdiff1d(cp.dofs.free_nodes, state.active_set)
+    dirichlet = cp.dofs.dirichlet_nodes
+    rhs = cp.as_obstacle_problem(g).load[inactive] - a[np.ix_(inactive, dirichlet)].sum(1)  # b = 1
+    a_ii = a[np.ix_(inactive, inactive)]
+    u = np.linalg.solve(a_ii, rhs)
+    p = np.linalg.solve(a_ii, (cp.mass @ state.u)[inactive])
+    p_sparse = (gradient(cp, g, state) - g)[inactive]
+    assert np.linalg.norm(state.u[inactive] - u) <= 1e-12 * np.linalg.norm(u)
+    assert np.linalg.norm(p_sparse - p) <= 1e-12 * np.linalg.norm(p)
