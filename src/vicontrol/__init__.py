@@ -5,7 +5,6 @@ from .assembly import (
     DofMap,
     assemble_boundary_flux,
     assemble_boundary_mass,
-    assemble_control_load,
     assemble_mass,
     assemble_stiffness,
     boundary_l2_norm,

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BoundaryTag, Mesh, interpolate, triangle_areas
+from .mesh import BoundaryTag, Mesh, interpolate
 
 
 @dataclass(frozen=True)
@@ -29,63 +29,68 @@ class DofMap:
 
 def dof_map(mesh: Mesh) -> DofMap:
     on_gamma1 = np.zeros(mesh.num_vertices, dtype=bool)
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag is BoundaryTag.GAMMA1:
-            on_gamma1[i] = True
-            on_gamma1[j] = True
+    on_gamma1[mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1]] = True
     dirichlet = np.flatnonzero(on_gamma1)
     free = np.flatnonzero(~on_gamma1)
     return DofMap(dirichlet_nodes=dirichlet, free_nodes=free)
 
 
-def local_stiffness(coords: np.ndarray) -> np.ndarray:
-    """Element stiffness for one triangle with vertex coords (3, 2)."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    if area <= 0:
+def _areas(coords: np.ndarray) -> np.ndarray:
+    x, y = coords[:, 0], coords[:, 1]
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+    if np.any(area <= 0):
         raise ValueError("degenerate or negatively oriented triangle")
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+    return area
+
+
+def local_stiffness(coords: np.ndarray) -> np.ndarray:
+    """Element stiffness (3, 3, ...) of triangles with vertex coords (3, 2, ...)."""
+    x, y = coords[:, 0], coords[:, 1]
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    return (b[:, None] * b + c[:, None] * c) / (4.0 * _areas(coords))
 
 
 def local_mass(coords: np.ndarray) -> np.ndarray:
-    """Element mass for one triangle: (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    if area <= 0:
-        raise ValueError("degenerate or negatively oriented triangle")
-    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    """Element mass (3, 3, ...): area * [[2,1,1],[1,2,1],[1,1,2]] / 12."""
+    return np.multiply.outer((np.ones((3, 3)) + np.eye(3)) / 12.0, _areas(coords))
 
 
-def _assemble(mesh: Mesh, local_all: np.ndarray) -> sp.csr_matrix:
-    """Scatter (m, 3, 3) element matrices into a global CSR matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix(
-        (local_all.ravel(), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices),
+# Neighbour (row, column) grid offsets of a vertex in increasing index order:
+# -(nx+2), -(nx+1), -1, 0, 1, nx+1, nx+2. Every coupling of the mesh is one.
+_OFFSETS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+# local vertices of a cell's lower and upper triangle, as (row, column) corners
+_CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
+
+
+def _assemble(mesh: Mesh, kernel) -> sp.csr_matrix:
+    """Global CSR matrix from the element matrices kernel(coords) of both
+    triangles of every cell, summed straight into each row's stencil slots."""
+    nx, ny = mesh.nx, mesh.ny
+    grid = mesh.vertices.T.reshape(2, ny + 1, nx + 1)
+    stencil = np.zeros((len(_OFFSETS), ny + 1, nx + 1))
+    for corners in _CORNERS:
+        local = kernel(np.stack([grid[:, r : r + ny, c : c + nx] for r, c in corners]))
+        for i, (ri, ci) in enumerate(corners):
+            for j, (rj, cj) in enumerate(corners):
+                slot = _OFFSETS.index((rj - ri, cj - ci))
+                stencil[slot, ri : ri + ny, ci : ci + nx] += local[i, j]
+    # a slot is stored where its neighbour lies on the grid: no duplicates, sorted columns
+    dr, dc = np.array(_OFFSETS).T
+    rows = np.arange(ny + 1)[:, None, None] + dr
+    cols = np.arange(nx + 1)[:, None] + dc
+    stored = (rows >= 0) & (rows <= ny) & (cols >= 0) & (cols <= nx)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=2).ravel())])
+    n = mesh.num_vertices
+    return sp.csr_matrix(
+        (stencil.transpose(1, 2, 0)[stored], (rows * (nx + 1) + cols)[stored], indptr),
+        shape=(n, n),
     )
-    return mat.tocsr()
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j)."""
-    p = mesh.vertices[mesh.triangles]  # (m, 3, 2)
-    x = p[:, :, 0]
-    y = p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    areas = triangle_areas(mesh)
-    if np.any(areas <= 0):
-        raise ValueError("mesh contains a degenerate or inverted triangle")
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * areas[:, None, None]
-    )
-    a = _assemble(mesh, local)
+    a = _assemble(mesh, local_stiffness)
     # the hypotenuse couplings of right triangles with axis-parallel legs are
     # exact zeros: dropping them leaves the 5-point stencil
     a.eliminate_zeros()
@@ -94,26 +99,18 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Global mass M[i,j] = integral of phi_i * phi_j over the domain."""
-    areas = triangle_areas(mesh)
-    if np.any(areas <= 0):
-        raise ValueError("mesh contains a degenerate or inverted triangle")
-    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = areas[:, None, None] * pattern[None, :, :]
-    return _assemble(mesh, local)
+    return _assemble(mesh, local_mass)
 
 
 def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
     """Mass matrix of the Gamma2 trace: integral of phi_i phi_j over Gamma2."""
     n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag is not BoundaryTag.GAMMA2:
-            continue
-        length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
-        # edge mass (L/6) * [[2,1],[1,2]], exact for products of linears
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [length / 3.0, length / 6.0, length / 6.0, length / 3.0]
+    edges = mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2]
+    length = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
+    # edge mass (L/6) * [[2,1],[1,2]], exact for products of linears
+    vals = np.column_stack([length / 3.0, length / 6.0, length / 6.0, length / 3.0]).ravel()
+    rows = np.repeat(edges, 2, axis=1).ravel()
+    cols = np.tile(edges, 2).ravel()
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -126,14 +123,6 @@ def assemble_boundary_flux(mesh: Mesh, q) -> np.ndarray:
     """
     q_nodal = interpolate(mesh, q)
     return assemble_boundary_mass(mesh) @ q_nodal
-
-
-def assemble_control_load(mesh: Mesh, g: np.ndarray) -> np.ndarray:
-    """Load vector of the distributed control: M_H @ g."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (mesh.num_vertices,):
-        raise ValueError(f"control has shape {g.shape}, expected ({mesh.num_vertices},)")
-    return assemble_mass(mesh) @ g
 
 
 def _check_field(field: np.ndarray, n: int) -> np.ndarray:
@@ -210,11 +199,3 @@ def coercivity_constant(
         lam_old = lam
     return lam
 
-
-def dump_matrix(matrix: sp.spmatrix, path) -> None:
-    """Coordinate text dump: one `row col value` line per stored entry."""
-    coo = matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# row col value\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")

@@ -101,6 +101,9 @@ class RunConfig:
             cell = (dx * dx, dy * dy, dx * dy)  # areas and stiffness entries need these normal
             if not all(sys.float_info.min <= v <= sys.float_info.max for v in cell):
                 problems.append(f"domain/nx/ny: cells of {dx!r} x {dy!r} leave the float range")
+            # a row of |A| sums to at most 4 (dx/dy + dy/dx): bounds A u for u = b, the lift
+            elif 4 * float(self.b) * (dx / dy + dy / dx) > sys.float_info.max:
+                problems.append(f"b={self.b!r} makes the Dirichlet lift A b overflow")
         if self.b < 0:
             problems.append(f"b must be >= 0 (got b={self.b})")
         if self.M <= 0:

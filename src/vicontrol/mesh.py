@@ -150,13 +150,14 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 def interpolate(mesh: Mesh, f) -> np.ndarray:
     """Nodal P1 interpolant: value f(x, y) at every vertex.
 
-    f may be a callable (x, y) -> float, a scalar constant, or an array that
-    already holds one value per vertex (returned as is, not copied).
+    f may be a callable, called once on the coordinate arrays of all
+    vertices (numpy expressions such as the affine and gauss specs), a scalar
+    constant, or an array that already holds one value per vertex (returned
+    as is, not copied).
     """
     if callable(f):
-        values = np.array(
-            [f(x, y) for x, y in mesh.vertices], dtype=float
-        )
+        x, y = mesh.vertices.T
+        values = np.array(np.broadcast_to(f(x, y), x.shape), dtype=float)
     elif np.ndim(f) == 0:
         values = np.full(mesh.num_vertices, float(f))
     else:
@@ -173,15 +174,29 @@ def interpolate(mesh: Mesh, f) -> np.ndarray:
     return values
 
 
+def _p1(mesh: Mesh, field, ix, iy, s, t) -> np.ndarray:
+    """P1 function with nodal values `field` in cells (ix, iy) at local
+    coordinates (s, t) in [0, 1]^2; the four arrays broadcast together."""
+    field = np.asarray(field, dtype=float)
+    if field.shape != (mesh.num_vertices,):
+        raise ValueError(f"field has shape {field.shape}, expected ({mesh.num_vertices},)")
+    stride = mesh.nx + 1
+    k = iy * stride + ix
+    v00, v10, v01, v11 = field[k], field[k + 1], field[k + stride], field[k + stride + 1]
+    lower = s >= t  # below the v00->v11 diagonal
+    return np.where(
+        lower,
+        v00 * (1.0 - s) + v10 * (s - t) + v11 * t,
+        v00 * (1.0 - t) + v01 * (t - s) + v11 * s,
+    )
+
+
 def evaluate_p1(mesh: Mesh, field: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the P1 function with nodal values `field` at arbitrary points.
 
     Exact point location via the structured grid; points must lie in the
     closed domain rectangle (clamped to guard against roundoff on edges).
     """
-    field = np.asarray(field, dtype=float)
-    if field.shape != (mesh.num_vertices,):
-        raise ValueError(f"field has shape {field.shape}, expected ({mesh.num_vertices},)")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x0, y0, x1, y1 = mesh.domain
     dx = (x1 - x0) / mesh.nx
@@ -190,18 +205,7 @@ def evaluate_p1(mesh: Mesh, field: np.ndarray, points: np.ndarray) -> np.ndarray
     iy = np.clip(((pts[:, 1] - y0) // dy).astype(int), 0, mesh.ny - 1)
     s = (pts[:, 0] - x0) / dx - ix  # local coords in [0, 1]
     t = (pts[:, 1] - y0) / dy - iy
-    stride = mesh.nx + 1
-    v00 = field[iy * stride + ix]
-    v10 = field[iy * stride + ix + 1]
-    v01 = field[(iy + 1) * stride + ix]
-    v11 = field[(iy + 1) * stride + ix + 1]
-    lower = s >= t  # below the v00->v11 diagonal
-    out = np.where(
-        lower,
-        v00 * (1.0 - s) + v10 * (s - t) + v11 * t,
-        v00 * (1.0 - t) + v01 * (t - s) + v11 * s,
-    )
-    return out
+    return _p1(mesh, field, ix, iy, s, t)
 
 
 def prolongate(coarse: Mesh, field: np.ndarray, fine: Mesh) -> np.ndarray:
@@ -209,24 +213,14 @@ def prolongate(coarse: Mesh, field: np.ndarray, fine: Mesh) -> np.ndarray:
 
     Exact (up to roundoff) when `fine` was obtained from `coarse` by
     refine_uniform, since the coarse function is piecewise linear on the
-    fine triangles as well.
+    fine triangles as well. With r fine cells per coarse cell, fine grid
+    line j lies in coarse cell j // r (the last line in the last cell).
     """
     if fine.domain != coarse.domain or fine.nx % coarse.nx or fine.ny % coarse.ny:
         raise ValueError("fine mesh is not a nested refinement of the coarse mesh")
-    return evaluate_p1(coarse, field, fine.vertices)
-
-
-def export_mesh(mesh: Mesh, path) -> None:
-    """Plain-text mesh dump: vertices, triangles, tagged boundary edges.
-
-    Columns: `v x y` / `t i j k` / `e i j tag` with tag in {gamma1, gamma2}.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vicontrol mesh: v x y | t i j k | e i j tag\n")
-        for x, y in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"t {i} {j} {k}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            name = "gamma1" if tag is BoundaryTag.GAMMA1 else "gamma2"
-            fh.write(f"e {i} {j} {name}\n")
+    rx, ry = fine.nx // coarse.nx, fine.ny // coarse.ny
+    jx = np.arange(fine.nx + 1)
+    jy = np.arange(fine.ny + 1)[:, None]
+    ix = np.minimum(jx // rx, coarse.nx - 1)
+    iy = np.minimum(jy // ry, coarse.ny - 1)
+    return _p1(coarse, field, ix, iy, (jx - ix * rx) / rx, (jy - iy * ry) / ry).ravel()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from vicontrol import assembly as asm
 from vicontrol.assembly import (
     assemble_boundary_flux,
     assemble_boundary_mass,
-    assemble_control_load,
     assemble_mass,
     assemble_stiffness,
     boundary_l2_norm,
@@ -15,7 +15,7 @@ from vicontrol.assembly import (
     h1_norm,
     l2_norm,
 )
-from vicontrol.mesh import build_rectangle_mesh, interpolate, refine_uniform
+from vicontrol.mesh import BoundaryTag, build_rectangle_mesh, interpolate, refine_uniform
 
 
 def test_local_stiffness_reference_triangle():
@@ -36,6 +36,93 @@ def test_degenerate_triangle_rejected():
         asm.local_stiffness(coords)
     with pytest.raises(ValueError):
         asm.local_mass(coords)
+
+
+def test_element_kernels_broadcast_over_triangles():
+    rng = np.random.default_rng(5)
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, :, None] + rng.uniform(
+        -0.2, 0.2, (3, 2, 4)
+    )
+    for kernel in (asm.local_stiffness, asm.local_mass):
+        batch = kernel(coords)
+        assert batch.shape == (3, 3, 4)
+        for t in range(4):
+            assert np.array_equal(batch[:, :, t], kernel(coords[:, :, t]))
+    coords[2, :, 1] = coords[1, :, 1]  # one degenerate triangle rejects the batch
+    with pytest.raises(ValueError):
+        asm.local_stiffness(coords)
+
+
+def _reference_matrices(mesh):
+    """A, M_H, the Gamma2 boundary mass and the Dirichlet nodes by the
+    element-by-element path: (m, 3, 2) coordinate gather, (m, 3, 3) element
+    matrices, COO -> CSR summing duplicates, and loops over boundary edges."""
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * areas[:, None, None]
+    )
+    mass = areas[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
+    n = mesh.num_vertices
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    a, mh = (sp.coo_matrix((v.ravel(), (rows, cols)), shape=(n, n)).tocsr() for v in (stiff, mass))
+    a.eliminate_zeros()
+    e_rows, e_cols, e_vals = [], [], []
+    on_gamma1 = np.zeros(n, dtype=bool)
+    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag is BoundaryTag.GAMMA1:
+            on_gamma1[[i, j]] = True
+            continue
+        length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
+        e_rows += [i, i, j, j]
+        e_cols += [i, j, i, j]
+        e_vals += [length / 3.0, length / 6.0, length / 6.0, length / 3.0]
+    boundary = sp.coo_matrix((e_vals, (e_rows, e_cols)), shape=(n, n)).tocsr()
+    return a, mh, boundary, np.flatnonzero(on_gamma1)
+
+
+_UNIT = (0.0, 0.0, 1.0, 1.0)
+_GRIDS = [
+    ((1, 1), _UNIT), ((2, 2), _UNIT), ((4, 4), _UNIT), ((8, 2), _UNIT), ((64, 64), _UNIT),
+    ((3, 3), _UNIT), ((5, 7), _UNIT), ((1, 6), (0.0, 0.0, 2.0, 1.0)),
+    ((13, 4), (-1.3, 0.2, 0.7, 3.1)), ((48, 17), (0.1, 0.0, 1.0, 1.7)),
+    ((64, 64), (0.0, 0.0, 0.3, 0.7)),
+]
+# every nonempty choice of Dirichlet sides, each on three of the grids
+_SIDE_CHOICES = [
+    tuple(side for bit, side in enumerate(("left", "right", "bottom", "top")) if k >> bit & 1)
+    for k in range(1, 16)
+]
+_MESHES = [
+    (*_GRIDS[(k + shift) % len(_GRIDS)], sides)
+    for k, sides in enumerate(_SIDE_CHOICES)
+    for shift in (0, 4, 7)
+]
+
+
+@pytest.mark.parametrize("shape, domain, sides", _MESHES)
+def test_structured_assembly_matches_element_reference(shape, domain, sides):
+    nx, ny = shape
+    mesh = build_rectangle_mesh(nx, ny, domain, sides)
+    a_ref, m_ref, bnd_ref, dirichlet_ref = _reference_matrices(mesh)
+    dyadic = domain == _UNIT and nx & (nx - 1) == 0 and ny & (ny - 1) == 0
+    for got, ref, exact in (
+        (assemble_stiffness(mesh), a_ref, dyadic),
+        (assemble_mass(mesh), m_ref, dyadic),
+        (assemble_boundary_mass(mesh), bnd_ref, True),  # same COO entries in the same order
+    ):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        if exact:  # congruent cells with exact coordinates: summation order is moot
+            assert np.array_equal(got.data, ref.data)
+        else:
+            assert np.all(np.abs(got.data - ref.data) <= 1e-15 * np.abs(ref.data))
+    assert np.array_equal(dof_map(mesh).dirichlet_nodes, dirichlet_ref)
 
 
 def test_stiffness_rows_sum_to_zero():
@@ -132,7 +219,7 @@ def test_control_load_matches_quadrature_oracle():
     m = build_rectangle_mesh(3, 2, domain=(0, 0, 1.5, 1))
     rng = np.random.default_rng(3)
     g = rng.normal(size=m.num_vertices)
-    load = assemble_control_load(m, g)
+    load = assemble_mass(m) @ g
     oracle = np.zeros(m.num_vertices)
     for tri in m.triangles:
         p = m.vertices[tri]
@@ -208,13 +295,3 @@ def test_coercivity_nonincreasing_under_refinement():
         m = refine_uniform(m)
     assert lams[0] >= lams[1] >= lams[2]
 
-
-def test_matrix_dump_format(tmp_path):
-    m = build_rectangle_mesh(1, 1)
-    a = assemble_stiffness(m)
-    path = tmp_path / "a.txt"
-    asm.dump_matrix(a, path)
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert len(lines) == a.nnz
-    r, c, v = lines[0].split()
-    assert float(v) == a.tocoo().data[0]

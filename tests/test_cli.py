@@ -290,14 +290,29 @@ def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
 
 
 def test_overflowing_reduced_rhs_is_named(tmp_path, capsys):
-    # A_II is SPD; the free node next to the left-top corner couples to two
-    # Dirichlet nodes, so A_ID b overflows and the right-hand side is the fault
+    # on unit cells the inner rows of M_H sum to 1, so f = M_H g = 1.7e308
+    # there; a free node next to the left side subtracts A_ID b = -2e307, so
+    # the reduced right-hand side overflows while b passes validation (its
+    # lift, at most 8 b per row, stays finite)
     cfg = write_config(
-        tmp_path / "cfg.yaml", nx=4, ny=4, b=1.0e308, gamma1_sides=["left", "top"],
+        tmp_path / "cfg.yaml", nx=4, ny=4, domain=[0, 0, 4, 4], b=2.0e307, g=1.7e308,
         out=str(tmp_path / "out"),
     )
     assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
     assert "right-hand side of the reduced system is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sides", [["left"], ["left", "top"]])
+def test_overflowing_dirichlet_lift_names_b(tmp_path, capsys, sides):
+    # u = b is exact, but A u for u = b, the multiplier estimate and the lift
+    # A_ID b need b * 8 on these cells: rejected before anything is written
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=4, ny=4, b=1.0e308, gamma1_sides=sides,
+        out=str(tmp_path / "out"),
+    )
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
+    assert "b=1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])

@@ -161,7 +161,21 @@ def test_interpolate_square_corners():
 def test_interpolate_rejects_nonfinite():
     m = build_rectangle_mesh(1, 1)
     with pytest.raises(FloatingPointError):
-        interpolate(m, lambda x, y: np.inf if x == 0 and y == 0 else 1.0)
+        interpolate(m, lambda x, y: np.where((x == 0) & (y == 0), np.inf, 1.0))
+
+
+def test_interpolate_calls_a_field_once_on_all_vertices():
+    m = build_rectangle_mesh(3, 2, domain=(0, 0, 2, 1))
+    calls = []
+
+    def field(x, y):
+        calls.append(x.shape)
+        return 1.7 - 0.3 * x + 2.1 * y
+
+    vals = interpolate(m, field)
+    assert calls == [(m.num_vertices,)]
+    assert np.array_equal(vals, [1.7 - 0.3 * x + 2.1 * y for x, y in m.vertices])
+    assert np.array_equal(interpolate(m, lambda x, y: -2.0), np.full(m.num_vertices, -2.0))
 
 
 def test_affine_reproduced_at_midedges():
@@ -200,15 +214,27 @@ def test_prolongate_rejects_non_nested():
         prolongate(a, np.zeros(a.num_vertices), b)
 
 
-def test_export_mesh_roundtrippable(tmp_path):
-    m = build_rectangle_mesh(2, 1, gamma1_sides=("left", "right"))
-    path = tmp_path / "mesh.txt"
-    msh.export_mesh(m, path)
-    lines = path.read_text().splitlines()
-    vs = [l for l in lines if l.startswith("v ")]
-    ts = [l for l in lines if l.startswith("t ")]
-    es = [l for l in lines if l.startswith("e ")]
-    assert len(vs) == m.num_vertices
-    assert len(ts) == m.num_triangles
-    assert len(es) == m.boundary_edges.shape[0]
-    assert sum(l.endswith("gamma1") for l in es) == 2
+@pytest.mark.parametrize(
+    "coarse_shape, ratio, domain",
+    [
+        ((2, 2), (4, 4), (0.0, 0.0, 1.0, 1.0)),  # dyadic: every local coordinate exact
+        ((4, 4), (8, 8), (0.0, 0.0, 1.0, 1.0)),
+        ((3, 2), (4, 2), (0.0, 0.0, 1.0, 1.0)),  # unequal x/y ratios
+        ((3, 2), (3, 5), (-1.3, 0.2, 0.7, 3.1)),
+        ((5, 1), (1, 7), (0.1, 0.0, 1.0, 1.7)),
+        ((1, 1), (6, 6), (0.0, 0.0, 2.0, 1.0)),
+    ],
+)
+def test_prolongate_matches_point_evaluation(coarse_shape, ratio, domain):
+    coarse = build_rectangle_mesh(*coarse_shape, domain=domain)
+    fine = build_rectangle_mesh(
+        coarse_shape[0] * ratio[0], coarse_shape[1] * ratio[1], domain=domain
+    )
+    field = np.random.default_rng(1).normal(size=coarse.num_vertices)
+    lifted = prolongate(coarse, field, fine)
+    located = msh.evaluate_p1(coarse, field, fine.vertices)
+    if all(r & (r - 1) == 0 for r in (*coarse_shape, *ratio)) and domain == (0, 0, 1, 1):
+        assert np.array_equal(lifted, located)
+    else:
+        # prolongate's local coordinates are exact ratios; evaluate_p1's carry roundoff
+        assert np.max(np.abs(lifted - located)) <= 1e-14 * np.abs(field).max()
