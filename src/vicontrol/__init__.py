@@ -13,13 +13,7 @@ from .assembly import (
     h1_norm,
     l2_norm,
 )
-from .control import (
-    ControlProblem,
-    CostParams,
-    CostReport,
-    OptimizerResult,
-    convex_combination_states,
-)
+from .control import ControlProblem, CostParams, CostReport, OptimizerResult
 from .mesh import (
     BoundaryTag,
     Mesh,

@@ -7,6 +7,7 @@ convergence studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,25 +36,27 @@ def dof_map(mesh: Mesh) -> DofMap:
     return DofMap(dirichlet_nodes=dirichlet, free_nodes=free)
 
 
-def _areas(coords: np.ndarray) -> np.ndarray:
-    x, y = coords[:, 0], coords[:, 1]
+def _areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
     if np.any(area <= 0):
         raise ValueError("degenerate or negatively oriented triangle")
     return area
 
 
-def local_stiffness(coords: np.ndarray) -> np.ndarray:
-    """Element stiffness (3, 3, ...) of triangles with vertex coords (3, 2, ...)."""
-    x, y = coords[:, 0], coords[:, 1]
+def local_stiffness(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element stiffness (3, 3, ...) of triangles with vertex x- and
+    y-coordinates x, y (3, ...); the two broadcast against each other."""
     b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
     c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    return (b[:, None] * b + c[:, None] * c) / (4.0 * _areas(coords))
+    # divided in place, so the sum is the one (3, 3, ...) temporary; float even for int input
+    stiffness = (b[:, None] * b + c[:, None] * c).astype(float, copy=False)
+    stiffness /= 4.0 * _areas(x, y)
+    return stiffness
 
 
-def local_mass(coords: np.ndarray) -> np.ndarray:
+def local_mass(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Element mass (3, 3, ...): area * [[2,1,1],[1,2,1],[1,1,2]] / 12."""
-    return np.multiply.outer((np.ones((3, 3)) + np.eye(3)) / 12.0, _areas(coords))
+    return np.multiply.outer((np.ones((3, 3)) + np.eye(3)) / 12.0, _areas(x, y))
 
 
 # Neighbour (row, column) grid offsets of a vertex in increasing index order:
@@ -63,29 +66,51 @@ _OFFSETS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 _CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 
 
+@functools.lru_cache(maxsize=1)
+def _pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR pattern of the 7 slots on an nx-by-ny grid: the stored-slot mask
+    (ny+1, nx+1, 7), column indices and row pointers, read-only. A slot is
+    stored where its neighbour lies on the grid: no duplicates, sorted columns."""
+    dr, dc = np.array(_OFFSETS).T
+    rows = np.arange(ny + 1)[:, None] + dr
+    cols = np.arange(nx + 1)[:, None] + dc
+    row_ok, col_ok = (rows >= 0) & (rows <= ny), (cols >= 0) & (cols <= nx)
+    # the index type csr_matrix picks, so that it takes the copies as they are
+    n = (nx + 1) * (ny + 1)
+    index = np.int32 if 7 * n <= np.iinfo(np.int32).max else np.int64
+    counts = row_ok.astype(index) @ col_ok.T.astype(index)  # stored slots per vertex
+    indptr = np.concatenate([[0], np.cumsum(counts.ravel())]).astype(index)
+    # mask and columns laid out (ny+1, (nx+1)*7), so that inner loops run along grid rows
+    stored = np.tile(row_ok, nx + 1) & col_ok.ravel()
+    first_row = (cols + dr * (nx + 1)).astype(index).ravel()  # the columns of grid row 0
+    columns = np.arange(0, n, nx + 1, dtype=index)[:, None] + first_row
+    pattern = stored.reshape(ny + 1, nx + 1, 7), columns[stored], indptr
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
 def _assemble(mesh: Mesh, kernel) -> sp.csr_matrix:
-    """Global CSR matrix from the element matrices kernel(coords) of both
-    triangles of every cell, summed straight into each row's stencil slots."""
+    """Global CSR matrix from the element matrices of both triangles of every
+    cell, summed straight into each row's stencil slots. The vertex grid is
+    the tensor product of its first row's x and first column's y, so kernel
+    gets corner x of shape (3, 1, nx) and y of shape (3, ny, 1)."""
     nx, ny = mesh.nx, mesh.ny
-    grid = mesh.vertices.T.reshape(2, ny + 1, nx + 1)
+    xs, ys = mesh.vertices[: nx + 1, 0], mesh.vertices[:: nx + 1, 1]
     stencil = np.zeros((len(_OFFSETS), ny + 1, nx + 1))
     for corners in _CORNERS:
-        local = kernel(np.stack([grid[:, r : r + ny, c : c + nx] for r, c in corners]))
+        x = np.stack([xs[c : c + nx] for _, c in corners])[:, None, :]
+        y = np.stack([ys[r : r + ny] for r, _ in corners])[:, :, None]
+        local = kernel(x, y)
         for i, (ri, ci) in enumerate(corners):
             for j, (rj, cj) in enumerate(corners):
                 slot = _OFFSETS.index((rj - ri, cj - ci))
                 stencil[slot, ri : ri + ny, ci : ci + nx] += local[i, j]
-    # a slot is stored where its neighbour lies on the grid: no duplicates, sorted columns
-    dr, dc = np.array(_OFFSETS).T
-    rows = np.arange(ny + 1)[:, None, None] + dr
-    cols = np.arange(nx + 1)[:, None] + dc
-    stored = (rows >= 0) & (rows <= ny) & (cols >= 0) & (cols <= nx)
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=2).ravel())])
-    n = mesh.num_vertices
-    return sp.csr_matrix(
-        (stencil.transpose(1, 2, 0)[stored], (rows * (nx + 1) + cols)[stored], indptr),
-        shape=(n, n),
-    )
+        del local  # freed before the next kernel call, which can then reuse its memory
+    stored, indices, indptr = _pattern(nx, ny)
+    data = stencil.transpose(1, 2, 0)[stored]
+    # copies: eliminate_zeros compacts a matrix's index arrays in place
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(mesh.num_vertices,) * 2)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:

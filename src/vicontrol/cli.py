@@ -94,6 +94,24 @@ class RunConfig:
             if side not in SIDES:
                 problems.append(f"gamma1_sides contains unknown side {side!r}")
         x0, y0, x1, y1 = self.domain
+        vertices = (self.nx + 1) * (self.ny + 1)
+        sup = {"q": 0.0, "g": 0.0}  # bounds on |q| and |g| over the domain
+        for name in ("q", "g"):
+            raw = getattr(self, name)
+            try:
+                spec = make_field_spec(raw)
+                if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
+                    raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
+                # an affine field takes its extremes at the corners; a gauss peaks at its amplitude
+                corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
+                values = [spec(*c) for c in corners] if callable(spec) else list(np.ravel(spec))
+                if not all(map(math.isfinite, values)):
+                    raise ConfigError("value at a corner of the domain or a node is not finite")
+                if callable(spec) and raw["type"] == "gauss":
+                    values.append(raw.get("amplitude", 1.0))
+                sup[name] = float(np.abs(values).max())
+            except (ConfigError, ArithmeticError) as exc:
+                problems.append(f"{name}: {exc}")
         if not (x1 > x0 and y1 > y0):
             problems.append(f"domain rectangle is degenerate: {self.domain}")
         elif 1 <= min(self.nx, self.ny) and max(self.nx, self.ny) <= sys.float_info.max:
@@ -104,6 +122,9 @@ class RunConfig:
             # a row of |A| sums to at most 4 (dx/dy + dy/dx): bounds A u for u = b, the lift
             elif 4 * float(self.b) * (dx / dy + dy / dx) > sys.float_info.max:
                 problems.append(f"b={self.b!r} makes the Dirichlet lift A b overflow")
+            # rows of M_H sum to at most dx*dy, those of the Gamma2 mass to max(dx, dy)
+            elif not dx * dy * sup["g"] + max(dx, dy) * sup["q"] <= sys.float_info.max:
+                problems.append(f"g, q: the load M_H g - F_q overflows on {dx!r} x {dy!r} cells")
         if self.b < 0:
             problems.append(f"b must be >= 0 (got b={self.b})")
         if self.M <= 0:
@@ -123,18 +144,6 @@ class RunConfig:
         for mu in self.mu_grid:
             if not 0.0 <= mu <= 1.0:
                 problems.append(f"mu_grid value {mu} outside [0, 1]")
-        vertices = (self.nx + 1) * (self.ny + 1)
-        for name in ("q", "g"):
-            try:
-                spec = make_field_spec(getattr(self, name))
-                if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
-                    raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
-                # an affine field takes its extremes at the corners; a gauss is bounded
-                corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
-                if callable(spec) and not all(math.isfinite(spec(*c)) for c in corners):
-                    raise ConfigError("value at a corner of the domain is not finite")
-            except (ConfigError, ArithmeticError) as exc:
-                problems.append(f"{name}: {exc}")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -60,7 +60,6 @@ class OptimizerResult:
     state: VISolution
     cost: float
     gradient_norm: float
-    cost_history: list[float]
     iterations: int
     converged: bool
     trace: list[dict] = field(default_factory=list)
@@ -153,7 +152,6 @@ class ControlProblem:
         if gtol is None:
             gtol = 1e-8 * max(1.0, gnorm)
 
-        history = [report.cost]
         trace = []
         alpha = 1.0
         prev_g = None
@@ -188,7 +186,6 @@ class ControlProblem:
             g, state, report = g_try, state_try, report_try
             grad = self.gradient(g, state)
             gnorm = self.l2_norm(grad)
-            history.append(report.cost)
             trace.append(
                 {
                     "iteration": it,
@@ -204,28 +201,8 @@ class ControlProblem:
             state=state,
             cost=report.cost,
             gradient_norm=gnorm,
-            cost_history=history,
             iterations=it,
             converged=converged,
             trace=trace,
         )
 
-
-def convex_combination_states(
-    mesh: Mesh, params: CostParams, g1, g2, mu: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compare combining solutions against solving for the combined control.
-
-    Returns (u3, u4): u3 = mu*u_{g1} + (1-mu)*u_{g2} and u4 = state of the
-    control mu*g1 + (1-mu)*g2.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    cp = ControlProblem(mesh, params)
-    g1 = interpolate(mesh, g1)
-    g2 = interpolate(mesh, g2)
-    u1 = cp.solve_state(g1).u
-    u2 = cp.solve_state(g2).u
-    u3 = mu * u1 + (1.0 - mu) * u2
-    u4 = cp.solve_state(mu * g1 + (1.0 - mu) * g2).u
-    return u3, u4

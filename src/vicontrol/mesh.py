@@ -26,7 +26,6 @@ class Mesh:
     """Conforming P1 triangulation of a rectangle.
 
     vertices       : (n, 2) float array, row-major grid numbering
-    triangles      : (m, 3) int array, counterclockwise
     boundary_edges : (k, 2) int array of vertex pairs
     boundary_tags  : (k,) array of BoundaryTag
     h              : longest triangle side
@@ -34,7 +33,6 @@ class Mesh:
     """
 
     vertices: np.ndarray
-    triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
     h: float
@@ -51,7 +49,16 @@ class Mesh:
 
     @property
     def num_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.nx * self.ny
+
+    @property
+    def triangles(self) -> np.ndarray:
+        """(2*nx*ny, 3) int64 vertex indices, counterclockwise, two per cell
+        with cells row-major; derived from nx and ny on every access."""
+        s = self.nx + 1
+        v00 = (np.arange(self.ny, dtype=np.int64)[:, None] * s + np.arange(self.nx)).ravel()
+        # corner offsets from v00 of both children of the diagonal v00 -> v00+s+1
+        return (v00[:, None, None] + np.array([[0, 1, s + 1], [0, s + 1, s]])).reshape(-1, 3)
 
 
 def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("left",)):
@@ -77,15 +84,9 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     xx, yy = np.meshgrid(xs, ys)  # row-major: vertex iy*(nx+1)+ix
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    # lower-left vertex of each cell, cells row-major
     stride = nx + 1
     ix = np.arange(nx, dtype=np.int64)
     iy = np.arange(ny, dtype=np.int64)
-    v00 = (iy[:, None] * stride + ix).ravel()
-    v10, v01, v11 = v00 + 1, v00 + stride, v00 + stride + 1
-    # diagonal v00 -> v11, both children counterclockwise
-    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-
     # bottom/top edges interleaved per column, then left/right per row
     horizontal = np.column_stack([ix, ix + ny * stride]).ravel()
     vertical = np.column_stack([iy * stride, iy * stride + nx]).ravel()
@@ -99,7 +100,6 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     h = float(np.hypot(dx, dy))
     return Mesh(
         vertices=vertices,
-        triangles=triangles,
         boundary_edges=edges,
         boundary_tags=np.array(tags, dtype=object),
         h=h,
@@ -138,13 +138,6 @@ def mesh_size(mesh: Mesh) -> float:
         raise ValueError("mesh has no triangles")
     x0, y0, x1, y1 = mesh.domain
     return float(np.hypot((x1 - x0) / mesh.nx, (y1 - y0) / mesh.ny))
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def interpolate(mesh: Mesh, f) -> np.ndarray:

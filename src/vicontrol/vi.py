@@ -167,6 +167,8 @@ def solve_pdas(
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
 
+    # the Dirichlet lift A[:, D] b, taken on each iteration's inactive rows
+    lift = a[:, dirichlet] @ np.full(dirichlet.size, b)
     mu = f - a @ u
     older_mask = active_mask = (u[free] + mu[free] / c) < 0.0
     for it in range(1, max_iter + 1):
@@ -174,8 +176,7 @@ def solve_pdas(
         u = np.zeros(problem.size)
         u[dirichlet] = b
         if inactive.size:
-            rhs = f[inactive] - a[inactive][:, dirichlet] @ np.full(dirichlet.size, b)
-            u[inactive] = solve_reduced(a, inactive, rhs)
+            u[inactive] = solve_reduced(a, inactive, f[inactive] - lift[inactive])
         mu = f - a @ u
         new_mask = (u[free] + mu[free] / c) < 0.0
         # accept a fixed point, or a two-cycle, of the active set within tolerance

@@ -21,21 +21,21 @@ from vicontrol.mesh import BoundaryTag, build_rectangle_mesh, interpolate, refin
 def test_local_stiffness_reference_triangle():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=float)
-    assert np.allclose(asm.local_stiffness(coords), expected, atol=1e-14)
+    assert np.allclose(asm.local_stiffness(coords[:, 0], coords[:, 1]), expected, atol=1e-14)
 
 
 def test_local_mass_pattern():
     coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])  # area 3
     expected = (3.0 / 12.0) * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float)
-    assert np.allclose(asm.local_mass(coords), expected, atol=1e-14)
+    assert np.allclose(asm.local_mass(coords[:, 0], coords[:, 1]), expected, atol=1e-14)
 
 
 def test_degenerate_triangle_rejected():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
-        asm.local_stiffness(coords)
+        asm.local_stiffness(coords[:, 0], coords[:, 1])
     with pytest.raises(ValueError):
-        asm.local_mass(coords)
+        asm.local_mass(coords[:, 0], coords[:, 1])
 
 
 def test_element_kernels_broadcast_over_triangles():
@@ -43,14 +43,23 @@ def test_element_kernels_broadcast_over_triangles():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, :, None] + rng.uniform(
         -0.2, 0.2, (3, 2, 4)
     )
+    # corner x per column (3, 1, nx) and y per row (3, ny, 1) of a non-dyadic
+    # grid's lower triangles, and the same cells' materialised (3, ny, nx) coordinates
+    xs, ys = np.linspace(-1.3, 0.7, 14), np.linspace(0.2, 3.1, 5)
+    x = np.stack([xs[:-1], xs[1:], xs[1:]])[:, None, :]
+    y = np.stack([ys[:-1], ys[:-1], ys[1:]])[:, :, None]
+    x_full, y_full = (np.array(v) for v in np.broadcast_arrays(x, y))
     for kernel in (asm.local_stiffness, asm.local_mass):
-        batch = kernel(coords)
+        batch = kernel(coords[:, 0], coords[:, 1])
         assert batch.shape == (3, 3, 4)
         for t in range(4):
-            assert np.array_equal(batch[:, :, t], kernel(coords[:, :, t]))
+            assert np.array_equal(batch[:, :, t], kernel(coords[:, 0, t], coords[:, 1, t]))
+        grid = kernel(x, y)
+        assert grid.shape == (3, 3, 4, 13)
+        assert grid.tobytes() == kernel(x_full, y_full).tobytes()  # bitwise
     coords[2, :, 1] = coords[1, :, 1]  # one degenerate triangle rejects the batch
     with pytest.raises(ValueError):
-        asm.local_stiffness(coords)
+        asm.local_stiffness(coords[:, 0], coords[:, 1])
 
 
 def _reference_matrices(mesh):
@@ -123,6 +132,21 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
         else:
             assert np.all(np.abs(got.data - ref.data) <= 1e-15 * np.abs(ref.data))
     assert np.array_equal(dof_map(mesh).dirichlet_nodes, dirichlet_ref)
+
+
+def test_stiffness_and_mass_share_no_index_buffer():
+    mesh = build_rectangle_mesh(5, 3, (0.0, 0.0, 2.0, 1.0))
+    a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
+    for index in (a.indices, a.indptr):
+        assert not any(np.shares_memory(index, other) for other in (mh.indices, mh.indptr))
+    a_ref, mh_ref = a.copy(), mh.copy()
+    for mat in (a, mh):  # a caller that mutates its matrix in place
+        mat.indices[:] = 0
+        mat.indptr[:] = 0
+    for fresh, ref in ((assemble_stiffness(mesh), a_ref), (assemble_mass(mesh), mh_ref)):
+        assert np.array_equal(fresh.indptr, ref.indptr)
+        assert np.array_equal(fresh.indices, ref.indices)
+        assert np.array_equal(fresh.data, ref.data)
 
 
 def test_stiffness_rows_sum_to_zero():

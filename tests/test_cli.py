@@ -352,6 +352,10 @@ def test_flux_from_file_matches_constant(tmp_path):
     ).read_bytes()
 
 
+# inner rows of M_H sum to dx*dy = 4 here
+_LOAD_OVERFLOW_MESH = {"domain": [0, 0, 8, 8], "nx": 4, "ny": 4}
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -372,13 +376,17 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("solve", "domain", [0, 0, 1.0e308, 1.0e308]),
         ("solve", "domain", [0, 0, 1.0e-300, 1.0e-300]),
         ("solve", "domain", [0, 0, 1, 1.0e160]),
+        # finite, but M_H g overflows on the 2x2 cells of _LOAD_OVERFLOW_MESH
+        ("solve", "g", 1.0e308),
+        ("solve", "q", {"type": "file", "values": 81, "fill": float("nan")}),
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):
     if isinstance(value, dict) and value["type"] == "file":
-        np.savetxt(tmp_path / "q.txt", np.zeros(value["values"]))
+        np.savetxt(tmp_path / "q.txt", np.full(value["values"], value.get("fill", 0.0)))
         value = {"type": "file", "path": str(tmp_path / "q.txt")}
-    cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value})
+    mesh = _LOAD_OVERFLOW_MESH if (key, value) == ("g", 1.0e308) else {}
+    cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value, **mesh})
     assert cli.main(["--config", cfg, "--quiet", command]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out" / "config.yaml").exists()  # rejected before any write

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from vicontrol import control
-from vicontrol.control import ControlProblem, CostParams, convex_combination_states
+from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh
 
 
@@ -127,9 +127,10 @@ def test_optimize_large_weight_bound(mesh):
 
 def test_optimize_cost_history_monotone(mesh):
     params = CostParams(weight=0.5, flux=0.0, dirichlet=1.0)
-    res = ControlProblem(mesh, params).optimize(0.0)
+    cp = ControlProblem(mesh, params)
+    res = cp.optimize(0.0)
     assert res.converged
-    hist = res.cost_history
+    hist = [cp.cost(0.0).cost] + [row["cost"] for row in res.trace]
     assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
     assert res.state.converged  # final state is a valid VI solution
 
@@ -144,28 +145,6 @@ def test_optimize_multistart_agreement(mesh):
         assert res.converged
         costs.append(res.cost)
     assert max(costs) - min(costs) <= 1e-6 * max(costs)
-
-
-def test_convex_combination_endpoints(mesh):
-    params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
-    rng = np.random.default_rng(12)
-    g1 = rng.uniform(-10, 10, mesh.num_vertices)
-    g2 = rng.uniform(-10, 10, mesh.num_vertices)
-    cp = ControlProblem(mesh, params)
-    u1 = cp.solve_state(g1).u
-    u2 = cp.solve_state(g2).u
-    u3, u4 = convex_combination_states(mesh, params, g1, g2, 0.0)
-    assert np.allclose(u3, u2, atol=1e-12) and np.allclose(u4, u2, atol=1e-10)
-    u3, u4 = convex_combination_states(mesh, params, g1, g2, 1.0)
-    assert np.allclose(u3, u1, atol=1e-12) and np.allclose(u4, u1, atol=1e-10)
-    u3, u4 = convex_combination_states(mesh, params, g1, g1, 0.37)
-    assert np.allclose(u3, u4, atol=1e-10)
-
-
-def test_convex_combination_rejects_bad_mu(mesh):
-    params = CostParams(weight=1.0)
-    with pytest.raises(ValueError):
-        convex_combination_states(mesh, params, 0.0, 1.0, 1.5)
 
 
 def test_state_parallelogram_identity(mesh):
