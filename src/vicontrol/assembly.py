@@ -75,9 +75,9 @@ def _pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = np.arange(ny + 1)[:, None] + dr
     cols = np.arange(nx + 1)[:, None] + dc
     row_ok, col_ok = (rows >= 0) & (rows <= ny), (cols >= 0) & (cols <= nx)
-    # the index type csr_matrix picks, so that it takes the copies as they are
+    # scipy's own index type for these values, so that csr_matrix takes the copies as they are
     n = (nx + 1) * (ny + 1)
-    index = np.int32 if 7 * n <= np.iinfo(np.int32).max else np.int64
+    index = sp.get_index_dtype(maxval=7 * n)
     counts = row_ok.astype(index) @ col_ok.T.astype(index)  # stored slots per vertex
     indptr = np.concatenate([[0], np.cumsum(counts.ravel())]).astype(index)
     # mask and columns laid out (ny+1, (nx+1)*7), so that inner loops run along grid rows

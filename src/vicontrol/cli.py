@@ -97,19 +97,17 @@ class RunConfig:
         vertices = (self.nx + 1) * (self.ny + 1)
         sup = {"q": 0.0, "g": 0.0}  # bounds on |q| and |g| over the domain
         for name in ("q", "g"):
-            raw = getattr(self, name)
             try:
-                spec = make_field_spec(raw)
+                spec = make_field_spec(getattr(self, name))
                 if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
                     raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
-                # an affine field takes its extremes at the corners; a gauss peaks at its amplitude
-                corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
-                values = [spec(*c) for c in corners] if callable(spec) else list(np.ravel(spec))
-                if not all(map(math.isfinite, values)):
+                # an affine field takes its extremes at the corners, a gauss at its peak
+                values = np.ravel(spec) if not callable(spec) else np.array(
+                    [spec(x, y) for x in (x0, x1) for y in (y0, y1)] + [getattr(spec, "peak", 0.0)]
+                )
+                if not np.isfinite(values).all():
                     raise ConfigError("value at a corner of the domain or a node is not finite")
-                if callable(spec) and raw["type"] == "gauss":
-                    values.append(raw.get("amplitude", 1.0))
-                sup[name] = float(np.abs(values).max())
+                sup[name] = float(np.abs(values).max(initial=0.0))
             except (ConfigError, ArithmeticError) as exc:
                 problems.append(f"{name}: {exc}")
         if not (x1 > x0 and y1 > y0):
@@ -176,7 +174,9 @@ def make_field_spec(spec):
         sigma = number("sigma", 0.1)
         if sigma <= 0:
             raise ConfigError(f"gauss sigma must be > 0, got {sigma}")
-        return lambda x, y: amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * sigma**2))
+        gauss = lambda x, y: amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * sigma**2))
+        gauss.peak = amp  # its value at (x0, y0), where |gauss| is largest
+        return gauss
     if kind == "file":
         path = spec.get("path")
         if not isinstance(path, str) or not path:

@@ -352,10 +352,6 @@ def test_flux_from_file_matches_constant(tmp_path):
     ).read_bytes()
 
 
-# inner rows of M_H sum to dx*dy = 4 here
-_LOAD_OVERFLOW_MESH = {"domain": [0, 0, 8, 8], "nx": 4, "ny": 4}
-
-
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -376,8 +372,6 @@ _LOAD_OVERFLOW_MESH = {"domain": [0, 0, 8, 8], "nx": 4, "ny": 4}
         ("solve", "domain", [0, 0, 1.0e308, 1.0e308]),
         ("solve", "domain", [0, 0, 1.0e-300, 1.0e-300]),
         ("solve", "domain", [0, 0, 1, 1.0e160]),
-        # finite, but M_H g overflows on the 2x2 cells of _LOAD_OVERFLOW_MESH
-        ("solve", "g", 1.0e308),
         ("solve", "q", {"type": "file", "values": 81, "fill": float("nan")}),
     ],
 )
@@ -385,11 +379,21 @@ def test_config_fault_names_key(tmp_path, capsys, command, key, value):
     if isinstance(value, dict) and value["type"] == "file":
         np.savetxt(tmp_path / "q.txt", np.full(value["values"], value.get("fill", 0.0)))
         value = {"type": "file", "path": str(tmp_path / "q.txt")}
-    mesh = _LOAD_OVERFLOW_MESH if (key, value) == ("g", 1.0e308) else {}
-    cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value, **mesh})
+    cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value})
     assert cli.main(["--config", cfg, "--quiet", command]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out" / "config.yaml").exists()  # rejected before any write
+
+
+@pytest.mark.parametrize("g", [1.0e308, {"type": "gauss", "amplitude": -1.0e308}])
+def test_load_overflow_names_keys(tmp_path, capsys, g):
+    # finite g, but inner rows of M_H sum to dx*dy = 4 on these 2x2 cells, so M_H g overflows;
+    # the gauss is tiny at the corners of the domain and largest at its centre
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path / "cfg.yaml", out=out, domain=[0, 0, 8, 8], nx=4, ny=4, g=g)
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
+    assert "g, q: the load M_H g - F_q overflows" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "config.yaml").exists()
 
 
 def test_every_config_field_has_a_kind():
