@@ -84,6 +84,21 @@ class RunConfig:
     sweep_control: bool = False
     out: str = "out"
 
+    def field_sup(self, name: str) -> float:
+        """A bound on |q| or |g| over the domain; raises ConfigError for a bad spec."""
+        spec = make_field_spec(getattr(self, name))
+        vertices = (self.nx + 1) * (self.ny + 1)
+        if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
+            raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
+        # an affine field takes its extremes at the corners, a gauss at its peak
+        x0, y0, x1, y1 = self.domain
+        values = np.ravel(spec) if not callable(spec) else np.array(
+            [spec(x, y) for x in (x0, x1) for y in (y0, y1)] + [getattr(spec, "peak", 0.0)]
+        )
+        if not np.isfinite(values).all():
+            raise ConfigError("value at a corner of the domain or a node is not finite")
+        return float(np.abs(values).max(initial=0.0))
+
     def validate(self) -> None:
         problems = []
         if self.nx < 1 or self.ny < 1:
@@ -94,22 +109,16 @@ class RunConfig:
             if side not in SIDES:
                 problems.append(f"gamma1_sides contains unknown side {side!r}")
         x0, y0, x1, y1 = self.domain
-        vertices = (self.nx + 1) * (self.ny + 1)
-        sup = {"q": 0.0, "g": 0.0}  # bounds on |q| and |g| over the domain
+        # bounds on |q| and |g| over the domain, and on the controls a scan draws
+        sup = {"q": 0.0, "g": 0.0, "amplitude": abs(self.amplitude)}
         for name in ("q", "g"):
             try:
-                spec = make_field_spec(getattr(self, name))
-                if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
-                    raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
-                # an affine field takes its extremes at the corners, a gauss at its peak
-                values = np.ravel(spec) if not callable(spec) else np.array(
-                    [spec(x, y) for x in (x0, x1) for y in (y0, y1)] + [getattr(spec, "peak", 0.0)]
-                )
-                if not np.isfinite(values).all():
-                    raise ConfigError("value at a corner of the domain or a node is not finite")
-                sup[name] = float(np.abs(values).max(initial=0.0))
+                sup[name] = self.field_sup(name)
             except (ConfigError, ArithmeticError) as exc:
                 problems.append(f"{name}: {exc}")
+        g_key = max(("g", "amplitude"), key=sup.get)
+        if not sup["amplitude"] <= sys.float_info.max / 2:  # uniform draws need 2 * amplitude
+            problems.append(f"amplitude={self.amplitude!r}: the range 2*amplitude overflows")
         if not (x1 > x0 and y1 > y0):
             problems.append(f"domain rectangle is degenerate: {self.domain}")
         elif 1 <= min(self.nx, self.ny) and max(self.nx, self.ny) <= sys.float_info.max:
@@ -121,8 +130,10 @@ class RunConfig:
             elif 4 * float(self.b) * (dx / dy + dy / dx) > sys.float_info.max:
                 problems.append(f"b={self.b!r} makes the Dirichlet lift A b overflow")
             # rows of M_H sum to at most dx*dy, those of the Gamma2 mass to max(dx, dy)
-            elif not dx * dy * sup["g"] + max(dx, dy) * sup["q"] <= sys.float_info.max:
-                problems.append(f"g, q: the load M_H g - F_q overflows on {dx!r} x {dy!r} cells")
+            elif not dx * dy * sup[g_key] + max(dx, dy) * sup["q"] <= sys.float_info.max:
+                problems.append(
+                    f"{g_key}, q: the load M_H g - F_q overflows on {dx!r} x {dy!r} cells"
+                )
         if self.b < 0:
             problems.append(f"b must be >= 0 (got b={self.b})")
         if self.M <= 0:
@@ -266,13 +277,8 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: 
 
 def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
-    try:
-        res = cp.optimize(make_field_spec(cfg.g))
-        u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
-    except SolverError as exc:
-        print(f"state solver failed during optimization: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-
+    res = cp.optimize(make_field_spec(cfg.g))
+    u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
     trace = ["iteration,cost,gradient_norm,step,active_set_size"]
     for row in res.trace:
         trace.append(
@@ -296,12 +302,8 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quie
             "control_norm_bound": u0_norm / params.weight,
         },
     )
-    if not res.converged:
-        print(
-            f"optimizer did not converge: gradient norm {res.gradient_norm:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_CONVERGED
+    if not res.converged:  # the outputs above are written first
+        raise SolverError(f"optimizer did not converge (gradient norm {res.gradient_norm:.3e})")
     if not quiet:
         print(f"optimized in {res.iterations} iterations, cost {res.cost:.6e}")
     return EXIT_OK
@@ -322,13 +324,9 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
-    try:
-        table = harness.run_state_convergence(
-            mesh, make_field_spec(cfg.g), params, cfg.levels, cfg.oracle_extra_levels
-        )
-    except SolverError as exc:
-        print(f"solver failure during sweep: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    table = harness.run_state_convergence(
+        mesh, make_field_spec(cfg.g), params, cfg.levels, cfg.oracle_extra_levels
+    )
     cost_run = harness.run_cost_convergence(table)
     write_lines(out / "state_convergence.csv", table.csv_lines())
     cost_lines = ["level,h,cost,gap"]
@@ -351,13 +349,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: 
     }
 
     if cfg.sweep_control:
-        try:
-            ctable = harness.run_control_convergence(
-                mesh, params, cfg.optimize_levels, cfg.oracle_extra_levels
-            )
-        except (SolverError, RuntimeError) as exc:
-            print(f"optimizer failure during sweep: {exc}", file=sys.stderr)
-            return EXIT_NOT_CONVERGED
+        ctable = harness.run_control_convergence(
+            mesh, params, cfg.optimize_levels, cfg.oracle_extra_levels
+        )
         write_lines(out / "control_convergence.csv", ctable.csv_lines())
         dists = [r.control_distance for r in ctable.rows]
         nonmono = sum(dists[k + 1] >= dists[k] for k in range(len(dists) - 1))
@@ -375,18 +369,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: 
 
 
 def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
-    try:
-        records, summary = harness.run_open_problem_scan(
-            mesh,
-            params,
-            trials=cfg.trials,
-            mu_grid=cfg.mu_grid,
-            seed=cfg.seed,
-            amplitude=cfg.amplitude,
-        )
-    except SolverError as exc:
-        print(f"solver failure during scan: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    records, summary = harness.run_open_problem_scan(
+        mesh, params, cfg.trials, cfg.mu_grid, cfg.seed, cfg.amplitude
+    )
     write_lines(out / "scan.csv", harness.scan_csv_lines(records))
     summary["experiment"] = "open_problem_scan"
     write_json(out / "summary.json", summary)
@@ -441,11 +426,19 @@ def main(argv=None) -> int:
         for name in ("q", "g") if args.command == "sweep" else ():
             if isinstance(make_field_spec(getattr(cfg, name)), np.ndarray):
                 raise ConfigError(f"sweep needs a functional {name} spec (constant/affine/gauss)")
+        # optimize and sweep evaluate the cost of g: M/2 ||g||^2 <= M/2 |domain| sup|g|^2
+        x0, y0, x1, y1 = cfg.domain
+        g_sup = cfg.field_sup("g") if args.command in ("optimize", "sweep") else 0.0
+        if 0.5 * cfg.M * (x1 - x0) * (y1 - y0) * g_sup * g_sup > sys.float_info.max:
+            raise ConfigError("domain, g, M: the control term M/2 ||g||^2 of the cost overflows")
         out = _prepare_out(cfg)  # the first write: every check that can reject cfg is above
         return handler(cfg, out, mesh, params, args.quiet)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except SolverError as exc:
+        print(f"solver failure during {args.command}: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

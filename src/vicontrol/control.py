@@ -142,7 +142,7 @@ class ControlProblem:
         The first trial step per iteration is the Barzilai-Borwein length from
         the latest curvature pair (fall back to 1 when it is unusable). A state
         solve that misses the tolerance, trial steps included, raises
-        SolverError.
+        SolverError, and so does a cost or gradient norm that is not finite.
         """
         g = interpolate(self.mesh, g0).copy()
         state = self.solve_state(g)
@@ -152,11 +152,16 @@ class ControlProblem:
         if gtol is None:
             gtol = 1e-8 * max(1.0, gnorm)
 
+        def converged_at(cost, gnorm):  # a cost or gradient past the float range ends the run
+            if not (np.isfinite(cost) and np.isfinite(gnorm)):
+                raise SolverError(f"cost {cost!r} or gradient norm {gnorm!r} is not finite")
+            return gnorm <= gtol
+
         trace = []
         alpha = 1.0
         prev_g = None
         prev_grad = None
-        converged = gnorm <= gtol
+        converged = converged_at(report.cost, gnorm)
         it = 0
         while not converged and it < max_iter:
             it += 1
@@ -195,7 +200,7 @@ class ControlProblem:
                     "active_set_size": int(state.active_set.size),
                 }
             )
-            converged = gnorm <= gtol
+            converged = converged_at(report.cost, gnorm)
         return OptimizerResult(
             control=g,
             state=state,

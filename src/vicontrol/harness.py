@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_mass, coercivity_constant, h1_norm, l2_norm
+from .assembly import coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
 from .mesh import Mesh, interpolate, prolongate, refine_times, refine_uniform
 from .vi import SolverError
@@ -77,32 +77,60 @@ def fit_rate(hs, errors, tail: int | None = None) -> float:
     return float(slope)
 
 
-def random_control(
-    mesh: Mesh, rng: np.random.Generator, amplitude: float = 10.0, smooth: bool = False
-) -> np.ndarray:
-    """P1 control with nodal values uniform in [-amplitude, amplitude].
+def random_control(mesh: Mesh, rng: np.random.Generator, amplitude: float = 10.0) -> np.ndarray:
+    """P1 control with nodal values uniform in [-amplitude, amplitude]."""
+    return rng.uniform(-amplitude, amplitude, size=mesh.num_vertices)
 
-    With smooth=True one mass-matrix application (area-normalized) damps the
-    high frequencies, modelling more regular data.
+
+def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, oracle, rate_h):
+    """The hierarchy/oracle driver of the convergence studies.
+
+    base_mesh, its levels-1 uniform refinements and the oracle mesh,
+    oracle_extra_levels above the finest, each get one ControlProblem, solved
+    coarse to fine by solve(cp, below) -> (nodal state, nodal control or None,
+    cost); below is the (mesh, state) solved before, or None. A SolverError is
+    raised again naming its level. Rows hold distances to the oracle on the
+    oracle mesh, the reference names it "<oracle> oracle", and rate_h is
+    fitted to the row column named rate_h.
     """
-    g = rng.uniform(-amplitude, amplitude, size=mesh.num_vertices)
-    if smooth:
-        m = assemble_mass(mesh)
-        lumped = np.asarray(m.sum(axis=1)).ravel()
-        g = (m @ g) / lumped
-    return g
-
-
-def _levels(base: Mesh, levels: int, oracle_extra_levels: int) -> tuple[list[Mesh], Mesh]:
-    """base and its levels-1 uniform refinements, and the oracle mesh above the finest."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if oracle_extra_levels < 1:
-        raise ValueError("oracle_extra_levels must be >= 1")
-    meshes = [base]
+    if levels < 1 or oracle_extra_levels < 1:
+        raise ValueError("levels and oracle_extra_levels must be >= 1")
+    meshes = [base_mesh]
     for _ in range(levels - 1):
         meshes.append(refine_uniform(meshes[-1]))
-    return meshes, refine_times(meshes[-1], oracle_extra_levels)
+    meshes.append(refine_times(meshes[-1], oracle_extra_levels))
+    solved = []  # (mesh, state, control, cost) per level, coarse to fine, then the oracle
+    for mesh in meshes:
+        cp = ControlProblem(mesh, params)
+        try:
+            solved.append((mesh, *solve(cp, solved[-1][:2] if solved else None)))
+        except SolverError as exc:
+            raise SolverError(f"level {mesh.level} ({mesh.nx}x{mesh.ny}): {exc}", exc.solution)
+    oracle_mesh, oracle_u, oracle_g, oracle_cost = solved.pop()
+    a_o, m_o = cp.stiffness, cp.mass  # the oracle's, solved last
+
+    table = ConvergenceTable(
+        reference=f"{oracle} oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
+        oracle_level=oracle_mesh.level,
+        oracle_cost=oracle_cost,
+    )
+    for mesh, u, g, cost in solved:
+        du = prolongate(mesh, u, oracle_mesh) - oracle_u
+        dg = None if g is None else prolongate(mesh, g, oracle_mesh) - oracle_g
+        table.rows.append(
+            ConvergenceRow(
+                level=mesh.level,
+                h=mesh.h,
+                error_v=h1_norm(du, oracle_mesh, a_o, m_o),
+                error_h=l2_norm(du, oracle_mesh, m_o),
+                cost=cost,
+                control_distance=float("nan") if dg is None else l2_norm(dg, oracle_mesh, m_o),
+            )
+        )
+    hs = [r.h for r in table.rows]
+    table.rate_v = fit_rate(hs, [r.error_v for r in table.rows])
+    table.rate_h = fit_rate(hs, [getattr(r, rate_h) for r in table.rows])
+    return table
 
 
 def run_state_convergence(
@@ -113,47 +141,19 @@ def run_state_convergence(
     oracle_extra_levels: int = 2,
 ) -> ConvergenceTable:
     """Errors of the state solution against a fine-mesh oracle, per level,
-    with each level's cost and the oracle's cost.
+    with each level's cost and the oracle's cost. g is a callable or constant,
+    interpolated on each mesh; each level is warm-started from the state before
+    it prolongated (nested iteration)."""
 
-    g is a callable or constant, interpolated on each mesh. The levels, then
-    the oracle, are solved once each, coarse to fine, each warm-started from
-    the state before it prolongated (nested iteration); a failed solve raises
-    SolverError naming its level. Norms are computed on the oracle mesh.
-    """
-    meshes, oracle_mesh = _levels(base_mesh, levels, oracle_extra_levels)
-    solved = []  # (mesh, nodal state, cost) per level, coarse to fine, then the oracle
-    for mesh in meshes + [oracle_mesh]:
-        cp = ControlProblem(mesh, params)
-        warm_start = prolongate(solved[-1][0], solved[-1][1], mesh) if solved else None
-        g_h = interpolate(mesh, g)
-        try:
-            state = cp.solve_state(g_h, warm_start)
-        except SolverError as exc:
-            raise SolverError(f"level {mesh.level} ({mesh.nx}x{mesh.ny}): {exc}", exc.solution)
-        solved.append((mesh, state.u, cp.cost(g_h, state).cost))
-    _, oracle_u, oracle_cost = solved.pop()
-    a_o, m_o = cp.stiffness, cp.mass  # the oracle's, solved last
+    def solve(cp, below):
+        warm_start = prolongate(*below, cp.mesh) if below else None
+        g_h = interpolate(cp.mesh, g)
+        state = cp.solve_state(g_h, warm_start)
+        return state.u, None, cp.cost(g_h, state).cost
 
-    table = ConvergenceTable(
-        reference=f"state oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
-        oracle_level=oracle_mesh.level,
-        oracle_cost=oracle_cost,
+    return _convergence_study(
+        base_mesh, params, levels, oracle_extra_levels, solve, "state", "error_h"
     )
-    for mesh, u, cost in solved:
-        diff = prolongate(mesh, u, oracle_mesh) - oracle_u
-        table.rows.append(
-            ConvergenceRow(
-                level=mesh.level,
-                h=mesh.h,
-                error_v=h1_norm(diff, oracle_mesh, a_o, m_o),
-                error_h=l2_norm(diff, oracle_mesh, m_o),
-                cost=cost,
-            )
-        )
-    hs = [r.h for r in table.rows]
-    table.rate_v = fit_rate(hs, [r.error_v for r in table.rows])
-    table.rate_h = fit_rate(hs, [r.error_h for r in table.rows])
-    return table
 
 
 def run_cost_convergence(table: ConvergenceTable) -> dict:
@@ -179,44 +179,21 @@ def run_control_convergence(
     g0=0.0,
     max_iter: int = 500,
 ) -> ConvergenceTable:
-    """Distances of per-level optimal controls/states to the finest-level run."""
-    meshes, oracle_mesh = _levels(base_mesh, levels, oracle_extra_levels)
+    """Distances of per-level optimal controls/states to the finest-level run.
 
-    results = []
-    for mesh in meshes + [oracle_mesh]:
-        cp = ControlProblem(mesh, params)
+    Each level is optimized cold from g0; one that stops unconverged raises
+    SolverError naming its level. rate_h fits the control distances.
+    """
+
+    def solve(cp, below):
         res = cp.optimize(g0, max_iter=max_iter)
         if not res.converged:
-            raise RuntimeError(
-                f"optimizer did not converge at level {mesh.level} "
-                f"(gradient norm {res.gradient_norm:.3e})"
-            )
-        results.append((cp, res))
+            raise SolverError(f"optimizer did not converge (gradient norm {res.gradient_norm:.3e})")
+        return res.state.u, res.control, res.cost
 
-    oracle_cp, oracle_res = results[-1]
-    a_o, m_o = oracle_cp.stiffness, oracle_cp.mass
-    table = ConvergenceTable(
-        reference=f"optimizer oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
-        oracle_level=oracle_mesh.level,
-        oracle_cost=oracle_res.cost,
+    return _convergence_study(
+        base_mesh, params, levels, oracle_extra_levels, solve, "optimizer", "control_distance"
     )
-    for cp, res in results[:-1]:
-        du = prolongate(cp.mesh, res.state.u, oracle_mesh) - oracle_res.state.u
-        dg = prolongate(cp.mesh, res.control, oracle_mesh) - oracle_res.control
-        table.rows.append(
-            ConvergenceRow(
-                level=cp.mesh.level,
-                h=cp.mesh.h,
-                error_v=h1_norm(du, oracle_mesh, a_o, m_o),
-                error_h=l2_norm(du, oracle_mesh, m_o),
-                cost=res.cost,
-                control_distance=l2_norm(dg, oracle_mesh, m_o),
-            )
-        )
-    hs = [r.h for r in table.rows]
-    table.rate_v = fit_rate(hs, [r.error_v for r in table.rows])
-    table.rate_h = fit_rate(hs, [r.control_distance for r in table.rows])
-    return table
 
 
 def run_lipschitz_check(
@@ -292,6 +269,8 @@ def run_open_problem_scan(
             pointwise = float(np.min(u3 - u4))
             nonneg = float(np.min(u4))
             norm_margin = l2_norm(u3, mesh, m) - l2_norm(u4, mesh, m)
+            if not np.isfinite(norm_margin):
+                raise SolverError(f"trial {trial}, mu={mu!r}: the H-norms of u3 and u4 overflow")
             records.append(
                 OpenProblemRecord(
                     trial=trial,

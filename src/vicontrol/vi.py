@@ -21,7 +21,8 @@ from .mesh import Mesh
 
 
 class SolverError(RuntimeError):
-    """A state solve failed; `solution` is the unconverged iterate, if any."""
+    """A state solve or the optimizer failed, or a cost or norm overflowed;
+    `solution` is the unconverged state iterate, if any."""
 
     def __init__(self, message: str, solution: VISolution | None = None):
         super().__init__(message)

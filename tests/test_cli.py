@@ -286,7 +286,7 @@ def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.ControlProblem, "solve_state", recording)
     assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 2
     assert outcomes == ["converged", "failed"]  # no retry after the failed trial
-    assert "during optimization" in capsys.readouterr().err
+    assert "during optimize" in capsys.readouterr().err
 
 
 def test_overflowing_reduced_rhs_is_named(tmp_path, capsys):
@@ -298,7 +298,8 @@ def test_overflowing_reduced_rhs_is_named(tmp_path, capsys):
         tmp_path / "cfg.yaml", nx=4, ny=4, domain=[0, 0, 4, 4], b=2.0e307, g=1.7e308,
         out=str(tmp_path / "out"),
     )
-    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
     assert "right-hand side of the reduced system is not finite" in capsys.readouterr().err
 
 
@@ -313,6 +314,29 @@ def test_overflowing_dirichlet_lift_names_b(tmp_path, capsys, sides):
     assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
     assert "b=1e+308" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_cost_names_keys(tmp_path, capsys):
+    # the control term M/2 ||g||^2 is about 1.25e309 on this domain
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0, 0, 1.0e153, 1.0e153], nx=4, ny=4, b=0.05, g=-50.0,
+        out=str(out),
+    )
+    assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 1
+    assert "domain, g, M: the control term" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_whose_norms_overflow_names_the_stage(tmp_path, capsys):
+    # 2 * amplitude fits the float range, but the states' H-norms do not
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, trials=2, amplitude=1.0e307,
+        out=str(tmp_path / "out"),
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli.main(["--config", cfg, "--quiet", "scan"]) == 2
+    assert re.search(r"during scan: trial 0, mu=0.1: .* overflow", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])
@@ -373,6 +397,7 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("solve", "domain", [0, 0, 1.0e-300, 1.0e-300]),
         ("solve", "domain", [0, 0, 1, 1.0e160]),
         ("solve", "q", {"type": "file", "values": 81, "fill": float("nan")}),
+        ("scan", "amplitude", 1.0e308),  # uniform draws on [-amplitude, amplitude] overflow
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):

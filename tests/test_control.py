@@ -116,6 +116,15 @@ def test_optimize_trivial_problem(mesh):
     assert np.max(np.abs(res.control)) <= 1e-5
 
 
+def test_optimize_rejects_a_cost_past_the_float_range():
+    # cells of 2.5e152 square: the mass entries times g = -50 overflow in ||g||_H
+    mesh = build_rectangle_mesh(4, 4, domain=(0, 0, 1.0e153, 1.0e153), gamma1_sides=("left",))
+    cp = ControlProblem(mesh, CostParams(weight=1.0, flux=0.0, dirichlet=0.05))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(control.SolverError, match="is not finite"):
+            cp.optimize(-50.0)
+
+
 def test_optimize_large_weight_bound(mesh):
     params = CostParams(weight=1e3, flux=0.0, dirichlet=1.0)
     cp = ControlProblem(mesh, params)

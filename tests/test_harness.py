@@ -137,6 +137,34 @@ def test_failed_solve_names_its_level(base):
     assert info.value.solution is not None
 
 
+def test_control_study_names_its_level(base):
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    with pytest.raises(SolverError, match=r"^level \d+ \(\d+x\d+\): optimizer did not converge"):
+        harness.run_control_convergence(base, params, levels=2, oracle_extra_levels=1, max_iter=0)
+
+
+def test_control_convergence_rows_match_cold_optimize_runs(base):
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    table = harness.run_control_convergence(base, params, levels=3, oracle_extra_levels=2)
+
+    # the same problems optimized cold, one mesh at a time
+    oracle_cp = control.ControlProblem(refine_times(base, 4), params)
+    oracle = oracle_cp.optimize(0.0)
+    assert table.oracle_level == oracle_cp.mesh.level
+    assert table.oracle_cost == oracle.cost
+    for k, row in enumerate(table.rows):
+        mesh = refine_times(base, k)
+        res = control.ControlProblem(mesh, params).optimize(0.0)
+        du = prolongate(mesh, res.state.u, oracle_cp.mesh) - oracle.state.u
+        dg = prolongate(mesh, res.control, oracle_cp.mesh) - oracle.control
+        assert row.cost == res.cost
+        assert row.error_v == h1_norm(du, oracle_cp.mesh, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_h == l2_norm(du, oracle_cp.mesh, oracle_cp.mass)
+        assert row.control_distance == l2_norm(dg, oracle_cp.mesh, oracle_cp.mass)
+    hs = [r.h for r in table.rows]
+    assert table.rate_h == harness.fit_rate(hs, [r.control_distance for r in table.rows])
+
+
 @pytest.mark.parametrize("levels, extra", [(0, 1), (2, 0)])
 def test_convergence_studies_reject_empty_hierarchy(base, levels, extra):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
@@ -226,7 +254,3 @@ def test_random_control_range_and_smoothing():
     rng = np.random.default_rng(0)
     g = harness.random_control(mesh, rng, amplitude=3.0)
     assert np.all(np.abs(g) <= 3.0)
-    gs = harness.random_control(mesh, rng, amplitude=3.0, smooth=True)
-    # smoothing damps the roughest modes
-    a = assemble_stiffness(mesh)
-    assert gs @ (a @ gs) < g @ (a @ g)
