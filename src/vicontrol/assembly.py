@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BoundaryTag, Mesh, interpolate
+from .mesh import BoundaryTag, Mesh, _nodal, interpolate
 
 
 @dataclass(frozen=True)
@@ -34,29 +34,6 @@ def dof_map(mesh: Mesh) -> DofMap:
     dirichlet = np.flatnonzero(on_gamma1)
     free = np.flatnonzero(~on_gamma1)
     return DofMap(dirichlet_nodes=dirichlet, free_nodes=free)
-
-
-def _areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
-    if np.any(area <= 0):
-        raise ValueError("degenerate or negatively oriented triangle")
-    return area
-
-
-def local_stiffness(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element stiffness (3, 3, ...) of triangles with vertex x- and
-    y-coordinates x, y (3, ...); the two broadcast against each other."""
-    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    # divided in place, so the sum is the one (3, 3, ...) temporary; float even for int input
-    stiffness = (b[:, None] * b + c[:, None] * c).astype(float, copy=False)
-    stiffness /= 4.0 * _areas(x, y)
-    return stiffness
-
-
-def local_mass(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element mass (3, 3, ...): area * [[2,1,1],[1,2,1],[1,1,2]] / 12."""
-    return np.multiply.outer((np.ones((3, 3)) + np.eye(3)) / 12.0, _areas(x, y))
 
 
 # Neighbour (row, column) grid offsets of a vertex in increasing index order:
@@ -90,32 +67,54 @@ def _pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pattern
 
 
-def _assemble(mesh: Mesh, kernel) -> sp.csr_matrix:
+def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     """Global CSR matrix from the element matrices of both triangles of every
-    cell, summed straight into each row's stencil slots. The vertex grid is
-    the tensor product of its first row's x and first column's y, so kernel
-    gets corner x of shape (3, 1, nx) and y of shape (3, ny, 1)."""
+    cell, summed straight into each row's stencil slots. Every triangle has a
+    right angle and legs dx, dy along the axes, so local(dx, dy, area) gives
+    each element matrix in closed form: for the lower and the upper triangle,
+    3x3 entries that are (ny, nx) arrays, or None where the entry is zero."""
     nx, ny = mesh.nx, mesh.ny
-    xs, ys = mesh.vertices[: nx + 1, 0], mesh.vertices[:: nx + 1, 1]
+    # the vertex grid is the tensor product of its first row's x and first column's y
+    dx = np.diff(mesh.vertices[: nx + 1, 0])
+    dy = np.diff(mesh.vertices[:: nx + 1, 1])[:, None]
+    if not (np.all(dx > 0) and np.all(dy > 0)):
+        raise ValueError("degenerate triangles: grid lines coincide or decrease")
     stencil = np.zeros((len(_OFFSETS), ny + 1, nx + 1))
-    for corners in _CORNERS:
-        x = np.stack([xs[c : c + nx] for _, c in corners])[:, None, :]
-        y = np.stack([ys[r : r + ny] for r, _ in corners])[:, :, None]
-        local = kernel(x, y)
-        for i, (ri, ci) in enumerate(corners):
-            for j, (rj, cj) in enumerate(corners):
-                slot = _OFFSETS.index((rj - ri, cj - ci))
-                stencil[slot, ri : ri + ny, ci : ci + nx] += local[i, j]
-        del local  # freed before the next kernel call, which can then reuse its memory
+    for corners, matrix in zip(_CORNERS, local(dx, dy, 0.5 * (dx * dy))):
+        for (ri, ci), row in zip(corners, matrix):
+            for (rj, cj), entry in zip(corners, row):
+                if entry is not None:
+                    slot = _OFFSETS.index((rj - ri, cj - ci))
+                    stencil[slot, ri : ri + ny, ci : ci + nx] += entry
     stored, indices, indptr = _pattern(nx, ny)
     data = stencil.transpose(1, 2, 0)[stored]
     # copies: eliminate_zeros compacts a matrix's index arrays in place
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(mesh.num_vertices,) * 2)
 
 
+def _stiffness(dx, dy, area):
+    """grad(phi_i) . grad(phi_j) |T| on a right triangle with legs dx, dy, over
+    q = 4|T|: dy^2/q at the far end of the dx leg, dx^2/q at that of the dy leg
+    and (dx^2+dy^2)/q at the right angle; the two ends of a leg couple with
+    minus the other leg's square over q, the ends of the hypotenuse not at all."""
+    q = 4.0 * area
+    kx, ky, kxy = dx * dx / q, dy * dy / q, (dy * dy + dx * dx) / q
+    mx, my = -kx, -ky
+    return (
+        ((ky, my, None), (my, kxy, mx), (None, mx, kx)),
+        ((kx, None, mx), (None, ky, my), (mx, my, kxy)),
+    )
+
+
+def _mass(dx, dy, area):
+    """phi_i phi_j |T|: |T|/6 on the diagonal, |T|/12 off it."""
+    d, o = area * (2.0 / 12.0), area * (1.0 / 12.0)
+    return (((d, o, o), (o, d, o), (o, o, d)),) * 2
+
+
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j)."""
-    a = _assemble(mesh, local_stiffness)
+    a = _assemble(mesh, _stiffness)
     # the hypotenuse couplings of right triangles with axis-parallel legs are
     # exact zeros: dropping them leaves the 5-point stencil
     a.eliminate_zeros()
@@ -124,7 +123,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Global mass M[i,j] = integral of phi_i * phi_j over the domain."""
-    return _assemble(mesh, local_mass)
+    return _assemble(mesh, _mass)
 
 
 def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -150,16 +149,9 @@ def assemble_boundary_flux(mesh: Mesh, q) -> np.ndarray:
     return assemble_boundary_mass(mesh) @ q_nodal
 
 
-def _check_field(field: np.ndarray, n: int) -> np.ndarray:
-    field = np.asarray(field, dtype=float)
-    if field.shape != (n,):
-        raise ValueError(f"field has shape {field.shape}, expected ({n},)")
-    return field
-
-
 def l2_norm(field: np.ndarray, mesh: Mesh, mass: sp.csr_matrix | None = None) -> float:
     """L2(Omega) norm of a P1 field: sqrt(v' M_H v)."""
-    v = _check_field(field, mesh.num_vertices)
+    v = _nodal(mesh, field)
     m = assemble_mass(mesh) if mass is None else mass
     return float(np.sqrt(max(v @ (m @ v), 0.0)))
 
@@ -171,7 +163,7 @@ def h1_norm(
     mass: sp.csr_matrix | None = None,
 ) -> float:
     """Full H1(Omega) norm: sqrt(v' (A + M_H) v)."""
-    v = _check_field(field, mesh.num_vertices)
+    v = _nodal(mesh, field)
     a = assemble_stiffness(mesh) if stiffness is None else stiffness
     m = assemble_mass(mesh) if mass is None else mass
     return float(np.sqrt(max(v @ (a @ v) + v @ (m @ v), 0.0)))
@@ -181,7 +173,7 @@ def boundary_l2_norm(
     field: np.ndarray, mesh: Mesh, boundary_mass: sp.csr_matrix | None = None
 ) -> float:
     """L2(Gamma2) norm of the trace of a P1 field."""
-    v = _check_field(field, mesh.num_vertices)
+    v = _nodal(mesh, field)
     m = assemble_boundary_mass(mesh) if boundary_mass is None else boundary_mass
     return float(np.sqrt(max(v @ (m @ v), 0.0)))
 

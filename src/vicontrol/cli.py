@@ -142,8 +142,8 @@ class RunConfig:
             problems.append(f"solver must be psor or pdas (got {self.solver!r})")
         if self.tol <= 0:
             problems.append(f"tol must be > 0 (got tol={self.tol})")
-        if self.levels < 1 or self.oracle_extra_levels < 1:
-            problems.append("levels and oracle_extra_levels must be >= 1")
+        if min(self.levels, self.optimize_levels, self.oracle_extra_levels) < 1:
+            problems.append("levels, optimize_levels and oracle_extra_levels must be >= 1")
         if self.trials < 1:
             problems.append(f"trials must be >= 1 (got trials={self.trials})")
         if self.seed < 0:
@@ -286,7 +286,8 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quie
             f"{row['step']!r},{row['active_set_size']}"
         )
     write_lines(out / "trace.csv", trace)
-    np.savetxt(out / "control.txt", res.control)
+    # the bytes np.savetxt writes, formatted from Python floats
+    write_lines(out / "control.txt", ["%.18e" % v for v in res.control.tolist()])
     dump_solution(mesh, res.state, out / "state.csv")
     report = cp.cost(res.control, res.state)
     write_json(
@@ -431,6 +432,19 @@ def main(argv=None) -> int:
         g_sup = cfg.field_sup("g") if args.command in ("optimize", "sweep") else 0.0
         if 0.5 * cfg.M * (x1 - x0) * (y1 - y0) * g_sup * g_sup > sys.float_info.max:
             raise ConfigError("domain, g, M: the control term M/2 ||g||^2 of the cost overflows")
+        # the finest mesh is a sweep's oracle, whose grid lines hold those of the coarser meshes:
+        # line k of n cells is line k * 2**d of n * 2**d, as fl(k*step) scales exactly
+        depth = 0
+        if args.command == "sweep":
+            finest = max(cfg.levels, cfg.optimize_levels if cfg.sweep_control else 1)
+            depth = finest - 1 + cfg.oracle_extra_levels
+        for lo, hi, n in ((x0, x1, cfg.nx << depth), (y0, y1, cfg.ny << depth)):
+            # lines as build_rectangle_mesh places them, on any mesh that could fit in memory
+            if n <= 2**20 and not np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0):
+                raise ConfigError(
+                    f"domain/nx/ny: grid lines of the {cfg.nx}x{cfg.ny} mesh refined {depth} "
+                    "times coincide in floating point"
+                )
         out = _prepare_out(cfg)  # the first write: every check that can reject cfg is above
         return handler(cfg, out, mesh, params, args.quiet)
     except ConfigError as exc:

@@ -167,15 +167,17 @@ def interpolate(mesh: Mesh, f) -> np.ndarray:
     return values
 
 
-def _p1(mesh: Mesh, field, ix, iy, s, t) -> np.ndarray:
-    """P1 function with nodal values `field` in cells (ix, iy) at local
-    coordinates (s, t) in [0, 1]^2; the four arrays broadcast together."""
+def _nodal(mesh: Mesh, field) -> np.ndarray:
+    """`field` as a float array, checked to hold one value per vertex."""
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.num_vertices,):
         raise ValueError(f"field has shape {field.shape}, expected ({mesh.num_vertices},)")
-    stride = mesh.nx + 1
-    k = iy * stride + ix
-    v00, v10, v01, v11 = field[k], field[k + 1], field[k + stride], field[k + stride + 1]
+    return field
+
+
+def _p1(v00, v10, v01, v11, s, t) -> np.ndarray:
+    """P1 function of a cell with corner values v00, v10 (right), v01 (up)
+    and v11 at local coordinates (s, t) in [0, 1]^2; all broadcast together."""
     lower = s >= t  # below the v00->v11 diagonal
     return np.where(
         lower,
@@ -190,6 +192,7 @@ def evaluate_p1(mesh: Mesh, field: np.ndarray, points: np.ndarray) -> np.ndarray
     Exact point location via the structured grid; points must lie in the
     closed domain rectangle (clamped to guard against roundoff on edges).
     """
+    field = _nodal(mesh, field)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x0, y0, x1, y1 = mesh.domain
     dx = (x1 - x0) / mesh.nx
@@ -198,7 +201,19 @@ def evaluate_p1(mesh: Mesh, field: np.ndarray, points: np.ndarray) -> np.ndarray
     iy = np.clip(((pts[:, 1] - y0) // dy).astype(int), 0, mesh.ny - 1)
     s = (pts[:, 0] - x0) / dx - ix  # local coords in [0, 1]
     t = (pts[:, 1] - y0) / dy - iy
-    return _p1(mesh, field, ix, iy, s, t)
+    stride = mesh.nx + 1
+    k = iy * stride + ix
+    return _p1(field[k], field[k + 1], field[k + stride], field[k + stride + 1], s, t)
+
+
+def _fine_lines(r: int):
+    """Fine grid lines along one axis, r per coarse cell, as two runs of
+    (lower corner slice, upper corner slice, local coordinates): the first r
+    lines of every coarse cell, then the last line, at 1 in the last cell."""
+    return (
+        (slice(None, -1), slice(1, None), np.arange(r) / r),
+        (slice(-2, -1), slice(-1, None), np.ones(1)),
+    )
 
 
 def prolongate(coarse: Mesh, field: np.ndarray, fine: Mesh) -> np.ndarray:
@@ -206,14 +221,19 @@ def prolongate(coarse: Mesh, field: np.ndarray, fine: Mesh) -> np.ndarray:
 
     Exact (up to roundoff) when `fine` was obtained from `coarse` by
     refine_uniform, since the coarse function is piecewise linear on the
-    fine triangles as well. With r fine cells per coarse cell, fine grid
-    line j lies in coarse cell j // r (the last line in the last cell).
+    fine triangles as well. Each run of fine rows and of fine columns is
+    evaluated as a (cells, offsets, cells, offsets) block, whose corner values
+    are slices of the coarse grid and whose local coordinates are per offset.
     """
     if fine.domain != coarse.domain or fine.nx % coarse.nx or fine.ny % coarse.ny:
         raise ValueError("fine mesh is not a nested refinement of the coarse mesh")
-    rx, ry = fine.nx // coarse.nx, fine.ny // coarse.ny
-    jx = np.arange(fine.nx + 1)
-    jy = np.arange(fine.ny + 1)[:, None]
-    ix = np.minimum(jx // rx, coarse.nx - 1)
-    iy = np.minimum(jy // ry, coarse.ny - 1)
-    return _p1(coarse, field, ix, iy, (jx - ix * rx) / rx, (jy - iy * ry) / ry).ravel()
+    v = _nodal(coarse, field).reshape(coarse.ny + 1, coarse.nx + 1)
+
+    def block(rows, columns):
+        (down, up, t), (left, right, s) = rows, columns
+        corners = (v[y, x][:, None, :, None] for y in (down, up) for x in (left, right))
+        cells = _p1(*corners, s, t[:, None, None])
+        return cells.reshape(cells.shape[0] * t.size, -1)
+
+    rows, columns = _fine_lines(fine.ny // coarse.ny), _fine_lines(fine.nx // coarse.nx)
+    return np.block([[block(r, c) for c in columns] for r in rows]).ravel()

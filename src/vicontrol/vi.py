@@ -70,11 +70,14 @@ class VISolution:
     method: str = "unknown"
 
 
-def _complementarity_residual(problem: ObstacleProblem, u: np.ndarray) -> float:
-    """Max-norm of min(u, A u - f) over the free nodes (0 at the solution)."""
+def _complementarity_residual(
+    problem: ObstacleProblem, u: np.ndarray, r: np.ndarray | None = None
+) -> float:
+    """Max-norm of min(u, A u - f) over the free nodes (0 at the solution);
+    r is A u - f where the caller already has it."""
     free = problem.dofs.free_nodes
-    r = (problem.stiffness @ u - problem.load)[free]
-    return float(np.abs(np.minimum(u[free], r)).max(initial=0.0))
+    r = problem.stiffness @ u - problem.load if r is None else r
+    return float(np.abs(np.minimum(u[free], r[free])).max(initial=0.0))
 
 
 def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarray:
@@ -89,10 +92,11 @@ def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarra
     return u
 
 
-def _finalize(problem, u, iters, converged, method, tol_abs) -> VISolution:
+def _finalize(problem, u, iters, converged, method, tol_abs, r=None) -> VISolution:
     free = problem.dofs.free_nodes
     active = free[u[free] <= tol_abs]
-    return VISolution(u, active, _complementarity_residual(problem, u), iters, converged, method)
+    residual = _complementarity_residual(problem, u, r)
+    return VISolution(u, active, residual, iters, converged, method)
 
 
 def solve_reduced(stiffness: sp.csr_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -182,10 +186,11 @@ def solve_pdas(
         new_mask = (u[free] + mu[free] / c) < 0.0
         # accept a fixed point, or a two-cycle, of the active set within tolerance
         settled = np.array_equal(new_mask, active_mask) or np.array_equal(new_mask, older_mask)
-        if settled and _complementarity_residual(problem, u) <= tol_abs:
-            return _finalize(problem, u, it, True, "pdas", tol_abs)
+        # A u - f is -mu to the bit: IEEE subtraction is sign-symmetric
+        if settled and _complementarity_residual(problem, u, -mu) <= tol_abs:
+            return _finalize(problem, u, it, True, "pdas", tol_abs, -mu)
         older_mask, active_mask = active_mask, new_mask
-    return _finalize(problem, u, max_iter, False, "pdas", tol_abs)
+    return _finalize(problem, u, max_iter, False, "pdas", tol_abs, -mu)
 
 
 def brute_force_oracle(problem: ObstacleProblem, tol: float = 1e-11) -> VISolution:
@@ -264,7 +269,8 @@ def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:
     """Per-vertex `x,y,u,active` dump for plotting the discrete free boundary."""
     active = np.zeros(mesh.num_vertices, dtype=int)
     active[solution.active_set] = 1
+    # Python floats and ints from tolist() print as repr(float(x)) and int(a) would
+    columns = (*mesh.vertices.T.tolist(), solution.u.tolist(), active.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,u,active\n")
-        for (x, y), ui, ai in zip(mesh.vertices, solution.u, active):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(ui)!r},{int(ai)}\n")
+        fh.writelines(f"{x!r},{y!r},{u!r},{a}\n" for x, y, u, a in zip(*columns))

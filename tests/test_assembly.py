@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from vicontrol import assembly as asm
 from vicontrol.assembly import (
     assemble_boundary_flux,
     assemble_boundary_mass,
@@ -18,48 +17,18 @@ from vicontrol.assembly import (
 from vicontrol.mesh import BoundaryTag, build_rectangle_mesh, interpolate, refine_uniform
 
 
-def test_local_stiffness_reference_triangle():
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=float)
-    assert np.allclose(asm.local_stiffness(coords[:, 0], coords[:, 1]), expected, atol=1e-14)
-
-
-def test_local_mass_pattern():
-    coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])  # area 3
-    expected = (3.0 / 12.0) * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float)
-    assert np.allclose(asm.local_mass(coords[:, 0], coords[:, 1]), expected, atol=1e-14)
-
-
 def test_degenerate_triangle_rejected():
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        asm.local_stiffness(coords[:, 0], coords[:, 1])
-    with pytest.raises(ValueError):
-        asm.local_mass(coords[:, 0], coords[:, 1])
-
-
-def test_element_kernels_broadcast_over_triangles():
-    rng = np.random.default_rng(5)
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, :, None] + rng.uniform(
-        -0.2, 0.2, (3, 2, 4)
-    )
-    # corner x per column (3, 1, nx) and y per row (3, ny, 1) of a non-dyadic
-    # grid's lower triangles, and the same cells' materialised (3, ny, nx) coordinates
-    xs, ys = np.linspace(-1.3, 0.7, 14), np.linspace(0.2, 3.1, 5)
-    x = np.stack([xs[:-1], xs[1:], xs[1:]])[:, None, :]
-    y = np.stack([ys[:-1], ys[:-1], ys[1:]])[:, :, None]
-    x_full, y_full = (np.array(v) for v in np.broadcast_arrays(x, y))
-    for kernel in (asm.local_stiffness, asm.local_mass):
-        batch = kernel(coords[:, 0], coords[:, 1])
-        assert batch.shape == (3, 3, 4)
-        for t in range(4):
-            assert np.array_equal(batch[:, :, t], kernel(coords[:, 0, t], coords[:, 1, t]))
-        grid = kernel(x, y)
-        assert grid.shape == (3, 3, 4, 13)
-        assert grid.tobytes() == kernel(x_full, y_full).tobytes()  # bitwise
-    coords[2, :, 1] = coords[1, :, 1]  # one degenerate triangle rejects the batch
-    with pytest.raises(ValueError):
-        asm.local_stiffness(coords[:, 0], coords[:, 1])
+    # grid lines 1 apart at 1e16, where floats are 2 apart: some cells have dx = 0 (dy = 0)
+    for nx, ny, domain in (
+        (8, 1, (1.0e16, 0.0, 1.0000000000000008e16, 1.0)),
+        (1, 8, (0.0, -1.0e16, 1.0, -9.999999999999992e15)),
+    ):
+        mesh = build_rectangle_mesh(nx, ny, domain)
+        dx, dy = np.diff(mesh.vertices[: nx + 1, 0]), np.diff(mesh.vertices[:: nx + 1, 1])
+        assert np.any(dx == 0) != np.any(dy == 0)
+        for assemble in (assemble_stiffness, assemble_mass):
+            with pytest.raises(ValueError, match="degenerate triangles"):
+                assemble(mesh)
 
 
 def _reference_matrices(mesh):

@@ -398,6 +398,11 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("solve", "domain", [0, 0, 1, 1.0e160]),
         ("solve", "q", {"type": "file", "values": 81, "fill": float("nan")}),
         ("scan", "amplitude", 1.0e308),  # uniform draws on [-amplitude, amplitude] overflow
+        # 8 cells 1 wide at 1e16, where floats are 2 apart: grid lines coincide
+        ("solve", "domain", [1.0e16, 0, 1.0000000000000008e16, 1]),
+        # 8 cells 32 wide are apart, and so are the 64 of level 4, but the 256 of the oracle are not
+        ("sweep", "domain", [1.0e16, 0, 1.0000000000000256e16, 1]),
+        ("sweep", "optimize_levels", 0),
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):

@@ -215,6 +215,26 @@ def test_prolongate_rejects_non_nested():
         prolongate(a, np.zeros(a.num_vertices), b)
 
 
+def _gathered_prolongation(coarse, field, fine):
+    """Prolongation by per-node gathers: each fine vertex's coarse cell and
+    local coordinates by integer grid division, its four corner values
+    gathered from the coarse field, then the P1 formula."""
+    rx, ry = fine.nx // coarse.nx, fine.ny // coarse.ny
+    jx = np.arange(fine.nx + 1)
+    jy = np.arange(fine.ny + 1)[:, None]
+    ix = np.minimum(jx // rx, coarse.nx - 1)
+    iy = np.minimum(jy // ry, coarse.ny - 1)
+    s, t = (jx - ix * rx) / rx, (jy - iy * ry) / ry
+    stride = coarse.nx + 1
+    k = iy * stride + ix
+    v00, v10, v01, v11 = field[k], field[k + 1], field[k + stride], field[k + stride + 1]
+    return np.where(
+        s >= t,
+        v00 * (1.0 - s) + v10 * (s - t) + v11 * t,
+        v00 * (1.0 - t) + v01 * (t - s) + v11 * s,
+    ).ravel()
+
+
 @pytest.mark.parametrize(
     "coarse_shape, ratio, domain",
     [
@@ -224,6 +244,7 @@ def test_prolongate_rejects_non_nested():
         ((3, 2), (3, 5), (-1.3, 0.2, 0.7, 3.1)),
         ((5, 1), (1, 7), (0.1, 0.0, 1.0, 1.7)),
         ((1, 1), (6, 6), (0.0, 0.0, 2.0, 1.0)),
+        ((4, 2), (128, 3), (0.0, 0.0, 1.0, 1.0)),  # 4 -> 512 cells in x, a sweep's largest ratio
     ],
 )
 def test_prolongate_matches_point_evaluation(coarse_shape, ratio, domain):
@@ -233,6 +254,7 @@ def test_prolongate_matches_point_evaluation(coarse_shape, ratio, domain):
     )
     field = np.random.default_rng(1).normal(size=coarse.num_vertices)
     lifted = prolongate(coarse, field, fine)
+    assert lifted.tobytes() == _gathered_prolongation(coarse, field, fine).tobytes()  # bitwise
     located = msh.evaluate_p1(coarse, field, fine.vertices)
     if all(r & (r - 1) == 0 for r in (*coarse_shape, *ratio)) and domain == (0, 0, 1, 1):
         assert np.array_equal(lifted, located)
