@@ -438,6 +438,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             finest = max(cfg.levels, cfg.optimize_levels if cfg.sweep_control else 1)
             depth = finest - 1 + cfg.oracle_extra_levels
+            if max(cfg.nx, cfg.ny) << depth > 2**20:  # no such mesh fits in memory
+                extra = "/optimize_levels" if cfg.sweep_control else ""
+                raise ConfigError(
+                    f"levels/oracle_extra_levels{extra}: the {cfg.nx}x{cfg.ny} mesh refined "
+                    f"{depth} times has more than 2**20 cells on a side"
+                )
         for lo, hi, n in ((x0, x1, cfg.nx << depth), (y0, y1, cfg.ny << depth)):
             # lines as build_rectangle_mesh places them, on any mesh that could fit in memory
             if n <= 2**20 and not np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0):

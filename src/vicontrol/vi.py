@@ -118,31 +118,29 @@ def solve_psor(
     max_iter: int | None = None,
     u0: np.ndarray | None = None,
 ) -> VISolution:
-    """Projected SOR sweeps over the free nodes with projection max(., 0).
+    """Projected SOR sweeps over the free nodes with projection max(., 0),
+    in red-black order: the stiffness couples a colour only to the other one,
+    so each colour's Gauss-Seidel half-sweep is one array update.
 
     tol is relative to max(1, ||f||_inf). Returns converged=False (never a
     silent wrong answer) if max_iter sweeps do not reach the tolerance.
     """
     if not 0.0 < omega < 2.0:
         raise ValueError(f"omega must be in (0, 2), got {omega}")
-    free = problem.dofs.free_nodes
-    n = problem.size
     if max_iter is None:
-        max_iter = 50 * n
+        max_iter = 50 * problem.size
     a = problem.stiffness.tocsr()
-    indptr, indices, data = a.indptr, a.indices, a.data
     diag = a.diagonal()
-    if np.any(diag[free] <= 0):
+    if np.any(diag[problem.dofs.free_nodes] <= 0):
         raise SolverError("nonpositive diagonal on a free node")
     f = problem.load
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
+    colours = [(c, a[c], f[c], diag[c]) for c in problem.dofs.colours]
 
     for it in range(1, max_iter + 1):
-        for i in free:
-            row = slice(indptr[i], indptr[i + 1])
-            r = f[i] - data[row] @ u[indices[row]]
-            u[i] = max(u[i] + omega * r / diag[i], 0.0)
+        for c, a_c, f_c, diag_c in colours:
+            u[c] = np.maximum(u[c] + omega * (f_c - a_c @ u) / diag_c, 0.0)
         if _complementarity_residual(problem, u) <= tol_abs:
             return _finalize(problem, u, it, True, "psor", tol_abs)
     return _finalize(problem, u, max_iter, False, "psor", tol_abs)

@@ -190,6 +190,19 @@ def test_dof_map_partition_and_corners():
     assert dm.dirichlet_nodes.size == 3
 
 
+def test_dof_map_colours_split_free_nodes():
+    grids = [(2, 2, ("left",)), (7, 2, ("right",)), (2, 7, ("top", "bottom")), (1, 1, ("top",))]
+    for nx, ny, sides in grids:
+        m = build_rectangle_mesh(nx, ny, gamma1_sides=sides)
+        dm = dof_map(m)
+        # every free node in exactly one colour
+        assert np.array_equal(np.sort(np.concatenate(dm.colours)), dm.free_nodes)
+        a = assemble_stiffness(m)
+        for nodes in dm.colours:
+            block = a[np.ix_(nodes, nodes)]
+            assert block.nnz == nodes.size and np.all(block.diagonal() > 0)
+
+
 def test_boundary_flux_zero_and_total():
     m = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
     assert np.all(assemble_boundary_flux(m, 0.0) == 0.0)
@@ -268,16 +281,20 @@ def test_parallelogram_law_of_mass_inner_product():
 
 
 def test_coercivity_in_unit_interval_and_dense_crosscheck():
-    m = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
-    lam = coercivity_constant(m)
-    assert 0.0 < lam < 1.0
-    a = assemble_stiffness(m)
-    mh = assemble_mass(m)
-    free = dof_map(m).free_nodes
-    a_ff = a[np.ix_(free, free)].toarray()
-    b_ff = a_ff + mh[np.ix_(free, free)].toarray()
-    w = sla.eigh(a_ff, b_ff, eigvals_only=True)
-    assert lam == pytest.approx(w.min(), rel=1e-8)
+    # the second mesh has one free node, its top right corner
+    for m in (
+        build_rectangle_mesh(2, 2, gamma1_sides=("left",)),
+        build_rectangle_mesh(1, 1, gamma1_sides=("left", "bottom")),
+    ):
+        lam = coercivity_constant(m)
+        assert 0.0 < lam < 1.0
+        a = assemble_stiffness(m)
+        mh = assemble_mass(m)
+        free = dof_map(m).free_nodes
+        a_ff = a[np.ix_(free, free)].toarray()
+        b_ff = a_ff + mh[np.ix_(free, free)].toarray()
+        w = sla.eigh(a_ff, b_ff, eigvals_only=True)
+        assert lam == pytest.approx(w.min(), rel=1e-8)
 
 
 def test_coercivity_nonincreasing_under_refinement():

@@ -403,6 +403,7 @@ def test_flux_from_file_matches_constant(tmp_path):
         # 8 cells 32 wide are apart, and so are the 64 of level 4, but the 256 of the oracle are not
         ("sweep", "domain", [1.0e16, 0, 1.0000000000000256e16, 1]),
         ("sweep", "optimize_levels", 0),
+        ("sweep", "levels", 3000),  # an oracle of 8 * 2**3001 cells a side
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):

@@ -17,6 +17,21 @@ def mesh3():
     return build_rectangle_mesh(3, 3, gamma1_sides=("left",))
 
 
+# non-square and one-cell-thin grids, one cell, and Gamma1 sides that leave vertex 0
+# free, so that vertex 0 is not always a red Dirichlet node; each has <= 12 free nodes,
+# which keeps the 2^n enumeration oracle fast
+GRIDS = [
+    (3, 3, ("left",)),
+    (7, 2, ("left", "bottom", "top")),
+    (2, 7, ("left", "right")),
+    (1, 5, ("left",)),
+    (5, 1, ("left",)),
+    (1, 1, ("left",)),
+    (3, 3, ("right",)),
+    (3, 3, ("top",)),
+]
+
+
 def random_problem(mesh, rng):
     g = rng.uniform(-60, 20, mesh.num_vertices)
     b = rng.uniform(0.02, 1.0)
@@ -47,15 +62,17 @@ def test_inactive_case_matches_linear_solve(mesh3):
         assert np.max(np.abs(sol.u - u_lin)) <= 1e-9
 
 
-def test_active_case_matches_oracle(mesh3):
-    prob = obstacle_problem(mesh3, -50.0, 0.0, 0.05)
-    oracle = brute_force_oracle(prob)
-    assert oracle.active_set.size > 0
-    for solver in (solve_psor, solve_pdas):
-        sol = solver(prob, tol=1e-12)
-        assert sol.converged
-        assert np.max(np.abs(sol.u - oracle.u)) <= 1e-9
-        assert np.array_equal(sol.active_set, oracle.active_set)
+def test_active_case_matches_oracle():
+    for nx, ny, sides in GRIDS:
+        mesh = build_rectangle_mesh(nx, ny, gamma1_sides=sides)
+        prob = obstacle_problem(mesh, -50.0, 0.0, 0.05)
+        oracle = brute_force_oracle(prob)
+        assert oracle.active_set.size > 0
+        for solver in (solve_psor, solve_pdas):
+            sol = solver(prob, tol=1e-12)
+            assert sol.converged
+            assert np.max(np.abs(sol.u - oracle.u)) <= 1e-9
+            assert np.array_equal(sol.active_set, oracle.active_set)
 
 
 def test_all_active_when_b_zero(mesh3):
@@ -85,6 +102,18 @@ def test_psor_not_converged_flagged():
     sol = solve_psor(prob, max_iter=1, tol=1e-14)
     assert not sol.converged
     assert sol.iterations == 1
+
+
+def test_psor_sweeps_on_32x32():
+    # the psor-32 bench problem takes 350 red-black sweeps; an ordering in which
+    # neighbours share a colour updates them Jacobi-like and needs far more
+    mesh = build_rectangle_mesh(32, 32, gamma1_sides=("left",))
+    def g(x, y):
+        return -40.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.2**2))
+
+    sol = solve_psor(obstacle_problem(mesh, g, 0.0, 1.0))
+    assert sol.converged
+    assert sol.iterations <= 380
 
 
 def test_negative_dirichlet_rejected(mesh3):
@@ -122,14 +151,15 @@ def test_uniqueness_from_random_starts(mesh3):
 
 
 def test_cross_method_agreement_in_v_norm():
-    mesh = build_rectangle_mesh(6, 6, gamma1_sides=("left", "bottom"))
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        g = rng.uniform(-40, 10, mesh.num_vertices)
-        prob = obstacle_problem(mesh, g, 0.5, 0.3)
-        u1 = solve_psor(prob, tol=1e-12).u
-        u2 = solve_pdas(prob, tol=1e-12).u
-        assert h1_norm(u1 - u2, mesh) <= 1e-8
+    for nx, ny, sides in [(6, 6, ("left", "bottom")), *GRIDS[1:]]:
+        mesh = build_rectangle_mesh(nx, ny, gamma1_sides=sides)
+        for _ in range(5):
+            g = rng.uniform(-40, 10, mesh.num_vertices)
+            prob = obstacle_problem(mesh, g, 0.5, 0.3)
+            u1 = solve_psor(prob, tol=1e-12).u
+            u2 = solve_pdas(prob, tol=1e-12).u
+            assert h1_norm(u1 - u2, mesh) <= 1e-8
 
 
 def test_kkt_invariants_of_solution(mesh3):
