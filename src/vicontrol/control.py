@@ -129,28 +129,24 @@ class ControlProblem:
             p[inactive] = solve_reduced(self.stiffness, inactive, (self.mass @ state.u)[inactive])
         return self.params.weight * g + p
 
-    def optimize(
-        self,
-        g0,
-        gtol: float | None = None,
-        max_iter: int = 500,
-        armijo: float = 1e-4,
-        backtrack: float = 0.5,
-    ) -> OptimizerResult:
+    def optimize(self, g0) -> OptimizerResult:
         """Minimize the cost from g0; monotone descent via Armijo backtracking.
 
         The first trial step per iteration is the Barzilai-Borwein length from
-        the latest curvature pair (fall back to 1 when it is unusable). A state
-        solve that misses the tolerance, trial steps included, raises
-        SolverError, and so does a cost or gradient norm that is not finite.
+        the latest curvature pair (fall back to 1 when it is unusable), and each
+        of at most 60 trial steps is half the one before; the Armijo parameter
+        is 1e-4. The run stops converged once the gradient norm is at most
+        1e-8 * max(1, ||grad J(g0)||), and unconverged after 500 iterations or
+        a failed line search. A state solve that misses the tolerance, trial
+        steps included, raises SolverError, and so does a cost or gradient
+        norm that is not finite.
         """
         g = interpolate(self.mesh, g0).copy()
         state = self.solve_state(g)
         report = self.cost(g, state)
         grad = self.gradient(g, state)
         gnorm = self.l2_norm(grad)
-        if gtol is None:
-            gtol = 1e-8 * max(1.0, gnorm)
+        gtol = 1e-8 * max(1.0, gnorm)
 
         def converged_at(cost, gnorm):  # a cost or gradient past the float range ends the run
             if not (np.isfinite(cost) and np.isfinite(gnorm)):
@@ -163,7 +159,7 @@ class ControlProblem:
         prev_grad = None
         converged = converged_at(report.cost, gnorm)
         it = 0
-        while not converged and it < max_iter:
+        while not converged and it < 500:
             it += 1
             if prev_g is not None:
                 s = g - prev_g
@@ -181,10 +177,10 @@ class ControlProblem:
                 g_try = g - step * grad
                 state_try = self.solve_state(g_try, warm_start=state.u)
                 report_try = self.cost(g_try, state_try)
-                if report_try.cost <= report.cost + armijo * step * slope:
+                if report_try.cost <= report.cost + 1e-4 * step * slope:
                     accepted = True
                     break
-                step *= backtrack
+                step *= 0.5
             if not accepted:
                 break
             prev_g, prev_grad = g, grad

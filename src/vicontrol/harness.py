@@ -59,18 +59,15 @@ class OpenProblemRecord:
     violation: bool
 
 
-def fit_rate(hs, errors, tail: int | None = None) -> float:
+def fit_rate(hs, errors) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    Uses the last max(3, n-1) points by default to limit preasymptotic
-    pollution. Degenerate (zero/nonpositive) errors give nan.
+    Uses the last max(3, n-1) points to limit preasymptotic pollution.
+    Degenerate (zero/nonpositive) errors give nan.
     """
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if tail is None:
-        tail = max(3, len(hs) - 1)
-    hs = hs[-tail:]
-    errors = errors[-tail:]
+    tail = max(3, len(hs) - 1)
+    hs = np.asarray(hs, dtype=float)[-tail:]
+    errors = np.asarray(errors, dtype=float)[-tail:]
     if len(hs) < 2 or np.any(errors <= 0):
         return float("nan")
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
@@ -176,17 +173,15 @@ def run_control_convergence(
     params: CostParams,
     levels: int = 4,
     oracle_extra_levels: int = 2,
-    g0=0.0,
-    max_iter: int = 500,
 ) -> ConvergenceTable:
     """Distances of per-level optimal controls/states to the finest-level run.
 
-    Each level is optimized cold from g0; one that stops unconverged raises
+    Each level is optimized cold from g = 0; one that stops unconverged raises
     SolverError naming its level. rate_h fits the control distances.
     """
 
     def solve(cp, below):
-        res = cp.optimize(g0, max_iter=max_iter)
+        res = cp.optimize(0.0)
         if not res.converged:
             raise SolverError(f"optimizer did not converge (gradient norm {res.gradient_norm:.3e})")
         return res.state.u, res.control, res.cost
@@ -241,14 +236,14 @@ def run_open_problem_scan(
     mu_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     seed: int = 0,
     amplitude: float = 10.0,
-    tol: float = 1e-9,
 ) -> tuple[list[OpenProblemRecord], dict]:
     """Randomized search for violations of 0 <= u4(mu) <= u3(mu).
 
     u3 is the convex combination of the two states, u4 the state of the
     combined control. Whether the ordering can fail is open; the scan reports
-    margins and counts, it does not assert an outcome. The implication
-    (pointwise ordering holds => norm ordering holds) is recorded per record.
+    margins and counts, it does not assert an outcome; a margin below -1e-9
+    counts as a violation. The implication (pointwise ordering holds => norm
+    ordering holds) is recorded per record.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu < 0 or mu > 1 for mu in mu_grid):
@@ -256,6 +251,7 @@ def run_open_problem_scan(
     rng = np.random.default_rng(seed)
     cp = ControlProblem(mesh, params)
     m = cp.mass
+    tol = 1e-9
 
     records = []
     for trial in range(trials):

@@ -112,23 +112,15 @@ def solve_reduced(stiffness: sp.csr_matrix, nodes: np.ndarray, rhs: np.ndarray) 
 
 
 def solve_psor(
-    problem: ObstacleProblem,
-    omega: float = 1.5,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    u0: np.ndarray | None = None,
+    problem: ObstacleProblem, tol: float = 1e-10, u0: np.ndarray | None = None
 ) -> VISolution:
-    """Projected SOR sweeps over the free nodes with projection max(., 0),
-    in red-black order: the stiffness couples a colour only to the other one,
-    so each colour's Gauss-Seidel half-sweep is one array update.
+    """Projected SOR sweeps (omega = 1.5) over the free nodes with projection
+    max(., 0), in red-black order: the stiffness couples a colour only to the
+    other one, so each colour's Gauss-Seidel half-sweep is one array update.
 
     tol is relative to max(1, ||f||_inf). Returns converged=False (never a
-    silent wrong answer) if max_iter sweeps do not reach the tolerance.
+    silent wrong answer) if 50 sweeps per vertex do not reach the tolerance.
     """
-    if not 0.0 < omega < 2.0:
-        raise ValueError(f"omega must be in (0, 2), got {omega}")
-    if max_iter is None:
-        max_iter = 50 * problem.size
     a = problem.stiffness.tocsr()
     diag = a.diagonal()
     if np.any(diag[problem.dofs.free_nodes] <= 0):
@@ -137,31 +129,27 @@ def solve_psor(
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
     colours = [(c, a[c], f[c], diag[c]) for c in problem.dofs.colours]
+    max_sweeps = 50 * problem.size
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_sweeps + 1):
         for c, a_c, f_c, diag_c in colours:
-            u[c] = np.maximum(u[c] + omega * (f_c - a_c @ u) / diag_c, 0.0)
+            u[c] = np.maximum(u[c] + 1.5 * (f_c - a_c @ u) / diag_c, 0.0)
         if _complementarity_residual(problem, u) <= tol_abs:
             return _finalize(problem, u, it, True, "psor", tol_abs)
-    return _finalize(problem, u, max_iter, False, "psor", tol_abs)
+    return _finalize(problem, u, max_sweeps, False, "psor", tol_abs)
 
 
 def solve_pdas(
-    problem: ObstacleProblem,
-    c: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    u0: np.ndarray | None = None,
+    problem: ObstacleProblem, tol: float = 1e-10, u0: np.ndarray | None = None
 ) -> VISolution:
-    """Primal-dual active set iteration.
+    """Primal-dual active set iteration, at most 100 steps.
 
     From the multiplier estimate mu = f - A u, a free node is predicted
-    active when u + mu/c < 0 (ties count as inactive, so a strictly interior
-    solution is a fixed point of the all-inactive set). The reduced system on
-    the inactive nodes is solved exactly by `solve_reduced`.
+    active when u + mu < 0 (ties count as inactive, so a strictly interior
+    solution is a fixed point of the all-inactive set). The weight of mu is
+    1: it only steers the path, since the reduced system on the final
+    inactive nodes is solved exactly by `solve_reduced`.
     """
-    if c <= 0:
-        raise ValueError(f"active-set weight c must be > 0, got {c}")
     free = problem.dofs.free_nodes
     dirichlet = problem.dofs.dirichlet_nodes
     a = problem.stiffness.tocsr()
@@ -173,30 +161,31 @@ def solve_pdas(
     # the Dirichlet lift A[:, D] b, taken on each iteration's inactive rows
     lift = a[:, dirichlet] @ np.full(dirichlet.size, b)
     mu = f - a @ u
-    older_mask = active_mask = (u[free] + mu[free] / c) < 0.0
-    for it in range(1, max_iter + 1):
+    older_mask = active_mask = (u[free] + mu[free]) < 0.0
+    for it in range(1, 101):
         inactive = free[~active_mask]
         u = np.zeros(problem.size)
         u[dirichlet] = b
         if inactive.size:
             u[inactive] = solve_reduced(a, inactive, f[inactive] - lift[inactive])
         mu = f - a @ u
-        new_mask = (u[free] + mu[free] / c) < 0.0
+        new_mask = (u[free] + mu[free]) < 0.0
         # accept a fixed point, or a two-cycle, of the active set within tolerance
         settled = np.array_equal(new_mask, active_mask) or np.array_equal(new_mask, older_mask)
         # A u - f is -mu to the bit: IEEE subtraction is sign-symmetric
         if settled and _complementarity_residual(problem, u, -mu) <= tol_abs:
             return _finalize(problem, u, it, True, "pdas", tol_abs, -mu)
         older_mask, active_mask = active_mask, new_mask
-    return _finalize(problem, u, max_iter, False, "pdas", tol_abs, -mu)
+    return _finalize(problem, u, 100, False, "pdas", tol_abs, -mu)
 
 
-def brute_force_oracle(problem: ObstacleProblem, tol: float = 1e-11) -> VISolution:
+def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
     """Enumerate every active/inactive partition of the free nodes.
 
     For each partition the reduced equality system is solved and the KKT sign
-    conditions checked; the unique feasible partition gives the solution.
-    Only for problems with at most 16 free nodes.
+    conditions checked, to 1e-11 relative to max(1, b) and to the load scale;
+    the unique feasible partition gives the solution. Only for problems with
+    at most 16 free nodes.
     """
     free = problem.dofs.free_nodes
     dirichlet = problem.dofs.dirichlet_nodes
@@ -207,6 +196,7 @@ def brute_force_oracle(problem: ObstacleProblem, tol: float = 1e-11) -> VISoluti
     f = problem.load
     b = problem.dirichlet_value
     scale = problem.residual_scale()
+    tol = 1e-11
 
     # dense free-node reduction; one 2^n sweep over active/inactive partitions
     a_ff = a[np.ix_(free, free)].toarray()
@@ -236,16 +226,11 @@ def brute_force_oracle(problem: ObstacleProblem, tol: float = 1e-11) -> VISoluti
     raise SolverError("no KKT-feasible active set found (numerical inconsistency)")
 
 
-def verify_vi(
-    problem: ObstacleProblem,
-    solution: VISolution,
-    probes: list[np.ndarray],
-    feas_tol: float = 1e-9,
-) -> float:
+def verify_vi(problem: ObstacleProblem, solution: VISolution, probes: list[np.ndarray]) -> float:
     """Worst value of a(u, v-u) - (f, v-u) over the probe directions.
 
     Nonnegative (up to solver tolerance) for a valid solution. Probes must be
-    feasible: v >= 0 everywhere, v = b on the Dirichlet nodes.
+    feasible to 1e-9: v >= 0 everywhere, v = b on the Dirichlet nodes.
     """
     u = solution.u
     b = problem.dirichlet_value
@@ -255,9 +240,9 @@ def verify_vi(
         v = np.asarray(v, dtype=float)
         if v.shape != u.shape:
             raise ValueError(f"probe {k} has wrong length")
-        if np.any(v < -feas_tol):
+        if np.any(v < -1e-9):
             raise ValueError(f"probe {k} violates v >= 0")
-        if np.any(np.abs(v[problem.dofs.dirichlet_nodes] - b) > feas_tol):
+        if np.any(np.abs(v[problem.dofs.dirichlet_nodes] - b) > 1e-9):
             raise ValueError(f"probe {k} violates v = b on Gamma1")
         worst = min(worst, float(residual @ (v - u)))
     return worst

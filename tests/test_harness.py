@@ -137,10 +137,18 @@ def test_failed_solve_names_its_level(base):
     assert info.value.solution is not None
 
 
-def test_control_study_names_its_level(base):
+def test_control_study_names_its_level(base, monkeypatch):
+    optimize = control.ControlProblem.optimize
+
+    def unconverged(self, *args, **kwargs):
+        res = optimize(self, *args, **kwargs)
+        res.converged = False
+        return res
+
+    monkeypatch.setattr(control.ControlProblem, "optimize", unconverged)
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     with pytest.raises(SolverError, match=r"^level \d+ \(\d+x\d+\): optimizer did not converge"):
-        harness.run_control_convergence(base, params, levels=2, oracle_extra_levels=1, max_iter=0)
+        harness.run_control_convergence(base, params, levels=2, oracle_extra_levels=1)
 
 
 def test_control_convergence_rows_match_cold_optimize_runs(base):
