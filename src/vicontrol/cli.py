@@ -17,6 +17,7 @@ import numpy as np
 import yaml
 
 from . import harness
+from .assembly import l2_norm
 from .control import ControlProblem, CostParams
 from .harness import write_json, write_lines
 from .mesh import SIDES, Mesh, build_rectangle_mesh
@@ -84,22 +85,11 @@ class RunConfig:
     sweep_control: bool = False
     out: str = "out"
 
-    def field_sup(self, name: str) -> float:
-        """A bound on |q| or |g| over the domain; raises ConfigError for a bad spec."""
-        spec = make_field_spec(getattr(self, name))
-        vertices = (self.nx + 1) * (self.ny + 1)
-        if isinstance(spec, np.ndarray) and spec.shape != (vertices,):
-            raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
-        # an affine field takes its extremes at the corners, a gauss at its peak
-        x0, y0, x1, y1 = self.domain
-        values = np.ravel(spec) if not callable(spec) else np.array(
-            [spec(x, y) for x in (x0, x1) for y in (y0, y1)] + [getattr(spec, "peak", 0.0)]
-        )
-        if not np.isfinite(values).all():
-            raise ConfigError("value at a corner of the domain or a node is not finite")
-        return float(np.abs(values).max(initial=0.0))
+    def validate(self, command: str) -> tuple[object, object]:
+        """Reject a config that `command` cannot run, naming its keys; return the q and g specs.
 
-    def validate(self) -> None:
+        Checks that need a mesh, fields or levels run only once the values they read are valid.
+        """
         problems = []
         if self.nx < 1 or self.ny < 1:
             problems.append(f"nx/ny must be >= 1 (got nx={self.nx}, ny={self.ny})")
@@ -109,31 +99,8 @@ class RunConfig:
             if side not in SIDES:
                 problems.append(f"gamma1_sides contains unknown side {side!r}")
         x0, y0, x1, y1 = self.domain
-        # bounds on |q| and |g| over the domain, and on the controls a scan draws
-        sup = {"q": 0.0, "g": 0.0, "amplitude": abs(self.amplitude)}
-        for name in ("q", "g"):
-            try:
-                sup[name] = self.field_sup(name)
-            except (ConfigError, ArithmeticError) as exc:
-                problems.append(f"{name}: {exc}")
-        g_key = max(("g", "amplitude"), key=sup.get)
-        if not sup["amplitude"] <= sys.float_info.max / 2:  # uniform draws need 2 * amplitude
-            problems.append(f"amplitude={self.amplitude!r}: the range 2*amplitude overflows")
         if not (x1 > x0 and y1 > y0):
             problems.append(f"domain rectangle is degenerate: {self.domain}")
-        elif 1 <= min(self.nx, self.ny) and max(self.nx, self.ny) <= sys.float_info.max:
-            dx, dy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
-            cell = (dx * dx, dy * dy, dx * dy)  # areas and stiffness entries need these normal
-            if not all(sys.float_info.min <= v <= sys.float_info.max for v in cell):
-                problems.append(f"domain/nx/ny: cells of {dx!r} x {dy!r} leave the float range")
-            # a row of |A| sums to at most 4 (dx/dy + dy/dx): bounds A u for u = b, the lift
-            elif 4 * float(self.b) * (dx / dy + dy / dx) > sys.float_info.max:
-                problems.append(f"b={self.b!r} makes the Dirichlet lift A b overflow")
-            # rows of M_H sum to at most dx*dy, those of the Gamma2 mass to max(dx, dy)
-            elif not dx * dy * sup[g_key] + max(dx, dy) * sup["q"] <= sys.float_info.max:
-                problems.append(
-                    f"{g_key}, q: the load M_H g - F_q overflows on {dx!r} x {dy!r} cells"
-                )
         if self.b < 0:
             problems.append(f"b must be >= 0 (got b={self.b})")
         if self.M <= 0:
@@ -153,8 +120,73 @@ class RunConfig:
         for mu in self.mu_grid:
             if not 0.0 <= mu <= 1.0:
                 problems.append(f"mu_grid value {mu} outside [0, 1]")
+        if self.amplitude < 0:
+            problems.append(f"amplitude must be >= 0 (got amplitude={self.amplitude})")
+        elif self.amplitude > sys.float_info.max / 2:  # uniform draws need 2 * amplitude
+            problems.append(f"amplitude={self.amplitude!r}: the range 2*amplitude overflows")
         if problems:
             raise ConfigError("; ".join(problems))
+
+        # the finest mesh a command builds is the base mesh or, in a sweep, the oracle `depth`
+        # refinements past it; 2**20 cells bound it, as one 1024x1024 PDAS solve takes 1.6 GB
+        depth, keys = 0, "nx/ny"
+        if command == "sweep":
+            depth = max(self.levels, self.optimize_levels if self.sweep_control else 1)
+            depth += self.oracle_extra_levels - 1
+            extra = "/optimize_levels" if self.sweep_control else ""
+            keys += f"/levels/oracle_extra_levels{extra}"
+        if self.nx * self.ny > 2**20 >> 2 * depth:  # (nx 2**depth)(ny 2**depth) > 2**20
+            finest = f"the {self.nx}x{self.ny} mesh" + (f" refined {depth} times" if depth else "")
+            raise ConfigError(f"{keys}: {finest} has more than 2**20 cells")
+
+        # parse q and g once, and bound |q| and |g| over the domain and the controls a scan draws
+        specs, sup = {}, {"q": 0.0, "g": 0.0, "amplitude": self.amplitude}
+        vertices = (self.nx + 1) * (self.ny + 1)
+        for name in ("q", "g"):
+            try:
+                spec = specs[name] = make_field_spec(getattr(self, name))
+                if isinstance(spec, np.ndarray):
+                    # every sweep level interpolates q and g on its own mesh: a nodal file cannot
+                    if command == "sweep":
+                        raise ConfigError("sweep needs a functional spec (constant/affine/gauss)")
+                    if spec.shape != (vertices,):
+                        raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
+                # an affine field takes its extremes at the corners, a gauss at its peak
+                values = np.ravel(spec) if not callable(spec) else np.array(
+                    [spec(x, y) for x in (x0, x1) for y in (y0, y1)] + [getattr(spec, "peak", 0.0)]
+                )
+                if not np.isfinite(values).all():
+                    raise ConfigError("value at a corner of the domain or a node is not finite")
+                sup[name] = float(np.abs(values).max(initial=0.0))
+            except (ConfigError, ArithmeticError) as exc:
+                problems.append(f"{name}: {exc}")
+        g_key = max(("g", "amplitude"), key=sup.get)
+        dx, dy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
+        cell = (dx * dx, dy * dy, dx * dy)  # areas and stiffness entries need these normal
+        # grid lines as build_rectangle_mesh places them on the finest mesh, which hold those of
+        # the coarser meshes: line k of n cells is line k * 2**d of n * 2**d, as fl(k*step) scales
+        axes = ((x0, x1, self.nx << depth), (y0, y1, self.ny << depth))
+        if not all(sys.float_info.min <= v <= sys.float_info.max for v in cell):
+            problems.append(f"domain/nx/ny: cells of {dx!r} x {dy!r} leave the float range")
+        elif not all(np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0) for lo, hi, n in axes):
+            problems.append(
+                f"domain/nx/ny: grid lines of the {self.nx}x{self.ny} mesh refined {depth} times "
+                "coincide in floating point"
+            )
+        # a row of |A| sums to at most 4 (dx/dy + dy/dx): bounds A u for u = b, the lift
+        elif 4 * float(self.b) * (dx / dy + dy / dx) > sys.float_info.max:
+            problems.append(f"b={self.b!r} makes the Dirichlet lift A b overflow")
+        # rows of M_H sum to at most dx*dy, those of the Gamma2 mass to max(dx, dy)
+        elif not dx * dy * sup[g_key] + max(dx, dy) * sup["q"] <= sys.float_info.max:
+            problems.append(f"{g_key}, q: the load M_H g - F_q overflows on {dx!r} x {dy!r} cells")
+        # optimize and sweep evaluate the cost of g: M/2 ||g||^2 <= M/2 |domain| sup|g|^2
+        if command in ("optimize", "sweep") and (
+            0.5 * self.M * (x1 - x0) * (y1 - y0) * sup["g"] * sup["g"] > sys.float_info.max
+        ):
+            problems.append("domain, g, M: the control term M/2 ||g||^2 of the cost overflows")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        return specs["q"], specs["g"]
 
 
 def make_field_spec(spec):
@@ -199,7 +231,10 @@ def make_field_spec(spec):
     raise ConfigError(f"unknown field type {kind!r}")
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
+def load_config(
+    path: str | None, overrides: dict, command: str
+) -> tuple[RunConfig, object, object]:
+    """The config for `command`, with its q and g specs; raises ConfigError naming a bad key."""
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -217,8 +252,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if kind is not None and not kind[1](value):
             raise ConfigError(f"{key} must be {kind[0]}, got {value!r}")
     cfg = RunConfig(**data)
-    cfg.validate()
-    return cfg
+    return (cfg, *cfg.validate(command))
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -233,21 +267,10 @@ def _prepare_out(cfg: RunConfig) -> Path:
     return out
 
 
-def _build(cfg: RunConfig):
-    try:
-        mesh = build_rectangle_mesh(cfg.nx, cfg.ny, cfg.domain, cfg.gamma1_sides)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"nx/ny: cannot build a {cfg.nx}x{cfg.ny} mesh: {exc}") from exc
-    params = CostParams(
-        weight=cfg.M, flux=make_field_spec(cfg.q), dirichlet=cfg.b, solver=cfg.solver, tol=cfg.tol
-    )
-    return mesh, params
-
-
-def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
     try:
-        sol = cp.solve_state(make_field_spec(cfg.g))
+        sol = cp.solve_state(g)
     except SolverError as exc:
         print(f"solver failure during solve: {exc}", file=sys.stderr)
         if exc.solution is None:
@@ -275,10 +298,10 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: 
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
+def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
-    res = cp.optimize(make_field_spec(cfg.g))
-    u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
+    res = cp.optimize(g)
+    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, mesh, cp.mass)
     trace = ["iteration,cost,gradient_norm,step,active_set_size"]
     for row in res.trace:
         trace.append(
@@ -299,7 +322,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quie
             "gradient_norm": res.gradient_norm,
             "iterations": res.iterations,
             "converged": bool(res.converged),
-            "control_norm": cp.l2_norm(res.control),
+            "control_norm": l2_norm(res.control, mesh, cp.mass),
             "control_norm_bound": u0_norm / params.weight,
         },
     )
@@ -324,10 +347,8 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
     return checks
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
-    table = harness.run_state_convergence(
-        mesh, make_field_spec(cfg.g), params, cfg.levels, cfg.oracle_extra_levels
-    )
+def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
+    table = harness.run_state_convergence(mesh, g, params, cfg.levels, cfg.oracle_extra_levels)
     cost_run = harness.run_cost_convergence(table)
     write_lines(out / "state_convergence.csv", table.csv_lines())
     cost_lines = ["level,h,cost,gap"]
@@ -369,7 +390,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: 
     return EXIT_OK if summary["passed"] else EXIT_ASSERTION
 
 
-def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, quiet: bool) -> int:
+def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     records, summary = harness.run_open_problem_scan(
         mesh, params, cfg.trials, cfg.mu_grid, cfg.seed, cfg.amplitude
     )
@@ -411,7 +432,8 @@ def main(argv=None) -> int:
         "solver": args.solver,
     }
     try:
-        cfg = load_config(args.config, overrides)
+        cfg, q, g = load_config(args.config, overrides, args.command)
+        out = _prepare_out(cfg)  # the first write: load_config has run every check
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -421,41 +443,10 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "scan": cmd_scan,
     }[args.command]
+    mesh = build_rectangle_mesh(cfg.nx, cfg.ny, cfg.domain, cfg.gamma1_sides)
+    params = CostParams(weight=cfg.M, flux=q, dirichlet=cfg.b, solver=cfg.solver, tol=cfg.tol)
     try:
-        mesh, params = _build(cfg)
-        # every sweep level interpolates q and g on its own mesh, which a nodal file cannot follow
-        for name in ("q", "g") if args.command == "sweep" else ():
-            if isinstance(make_field_spec(getattr(cfg, name)), np.ndarray):
-                raise ConfigError(f"sweep needs a functional {name} spec (constant/affine/gauss)")
-        # optimize and sweep evaluate the cost of g: M/2 ||g||^2 <= M/2 |domain| sup|g|^2
-        x0, y0, x1, y1 = cfg.domain
-        g_sup = cfg.field_sup("g") if args.command in ("optimize", "sweep") else 0.0
-        if 0.5 * cfg.M * (x1 - x0) * (y1 - y0) * g_sup * g_sup > sys.float_info.max:
-            raise ConfigError("domain, g, M: the control term M/2 ||g||^2 of the cost overflows")
-        # the finest mesh is a sweep's oracle, whose grid lines hold those of the coarser meshes:
-        # line k of n cells is line k * 2**d of n * 2**d, as fl(k*step) scales exactly
-        depth = 0
-        if args.command == "sweep":
-            finest = max(cfg.levels, cfg.optimize_levels if cfg.sweep_control else 1)
-            depth = finest - 1 + cfg.oracle_extra_levels
-            if max(cfg.nx, cfg.ny) << depth > 2**20:  # no such mesh fits in memory
-                extra = "/optimize_levels" if cfg.sweep_control else ""
-                raise ConfigError(
-                    f"levels/oracle_extra_levels{extra}: the {cfg.nx}x{cfg.ny} mesh refined "
-                    f"{depth} times has more than 2**20 cells on a side"
-                )
-        for lo, hi, n in ((x0, x1, cfg.nx << depth), (y0, y1, cfg.ny << depth)):
-            # lines as build_rectangle_mesh places them, on any mesh that could fit in memory
-            if n <= 2**20 and not np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0):
-                raise ConfigError(
-                    f"domain/nx/ny: grid lines of the {cfg.nx}x{cfg.ny} mesh refined {depth} "
-                    "times coincide in floating point"
-                )
-        out = _prepare_out(cfg)  # the first write: every check that can reject cfg is above
-        return handler(cfg, out, mesh, params, args.quiet)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return handler(cfg, out, mesh, params, g, args.quiet)
     except SolverError as exc:
         print(f"solver failure during {args.command}: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -19,6 +19,7 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     dof_map,
+    l2_norm,
 )
 from .mesh import Mesh, interpolate
 from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor, solve_reduced
@@ -98,15 +99,12 @@ class ControlProblem:
             )
         return sol
 
-    def l2_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
-
     def cost(self, g, state: VISolution | None = None) -> CostReport:
         g = interpolate(self.mesh, g)
         if state is None:
             state = self.solve_state(g)
-        state_term = 0.5 * self.l2_norm(state.u) ** 2
-        control_term = 0.5 * self.params.weight * self.l2_norm(g) ** 2
+        state_term = 0.5 * l2_norm(state.u, self.mesh, self.mass) ** 2
+        control_term = 0.5 * self.params.weight * l2_norm(g, self.mesh, self.mass) ** 2
         return CostReport(
             cost=state_term + control_term,
             state_term=state_term,
@@ -145,7 +143,7 @@ class ControlProblem:
         state = self.solve_state(g)
         report = self.cost(g, state)
         grad = self.gradient(g, state)
-        gnorm = self.l2_norm(grad)
+        gnorm = l2_norm(grad, self.mesh, self.mass)
         gtol = 1e-8 * max(1.0, gnorm)
 
         def converged_at(cost, gnorm):  # a cost or gradient past the float range ends the run
@@ -186,7 +184,7 @@ class ControlProblem:
             prev_g, prev_grad = g, grad
             g, state, report = g_try, state_try, report_try
             grad = self.gradient(g, state)
-            gnorm = self.l2_norm(grad)
+            gnorm = l2_norm(grad, self.mesh, self.mass)
             trace.append(
                 {
                     "iteration": it,

@@ -404,13 +404,23 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("sweep", "domain", [1.0e16, 0, 1.0000000000000256e16, 1]),
         ("sweep", "optimize_levels", 0),
         ("sweep", "levels", 3000),  # an oracle of 8 * 2**3001 cells a side
+        ("sweep", "levels", 10**20),  # an oracle of 8 * 2**(10**20 + 1) cells a side
+        # 1x1 refined 20 times is 2**20 cells a side, 2**40 cells in all
+        ("sweep", "oracle_extra_levels", {"nx": 1, "ny": 1, "levels": 1, "value": 20}),
+        ("scan", "amplitude", -1.0),  # uniform draws on [1, -1]
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):
-    if isinstance(value, dict) and value["type"] == "file":
+    extra = {}
+    if isinstance(value, dict) and value.get("type") == "file":
         np.savetxt(tmp_path / "q.txt", np.full(value["values"], value.get("fill", 0.0)))
         value = {"type": "file", "path": str(tmp_path / "q.txt")}
-    cfg = write_config(tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value})
+    elif isinstance(value, dict) and "type" not in value:  # the value and the keys it needs
+        extra = dict(value)
+        value = extra.pop("value")
+    cfg = write_config(
+        tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value}, **extra
+    )
     assert cli.main(["--config", cfg, "--quiet", command]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out" / "config.yaml").exists()  # rejected before any write
@@ -425,6 +435,29 @@ def test_load_overflow_names_keys(tmp_path, capsys, g):
     assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
     assert "g, q: the load M_H g - F_q overflows" in capsys.readouterr().err
     assert not (tmp_path / "out" / "config.yaml").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "scan"])
+def test_each_nodal_file_is_read_once(tmp_path, monkeypatch, command):
+    # the file that was checked is the file that is solved
+    for name, value in (("q", 0.5), ("g", -30.0)):
+        np.savetxt(tmp_path / f"{name}.txt", np.full(25, value))
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=4, ny=4, b=0.2, trials=2, mu_grid=[0.5],
+        q={"type": "file", "path": str(tmp_path / "q.txt")},
+        g={"type": "file", "path": str(tmp_path / "g.txt")},
+        out=str(tmp_path / "out"),
+    )
+    reads = []
+    loadtxt = np.loadtxt
+
+    def recording(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    assert cli.main(["--config", cfg, "--quiet", command]) == 0
+    assert sorted(reads) == ["g.txt", "q.txt"]
 
 
 def test_every_config_field_has_a_kind():
@@ -459,13 +492,14 @@ def field_values():
 @given(
     st.dictionaries(
         st.sampled_from([f.name for f in fields(cli.RunConfig)]), field_values(), max_size=6
-    )
+    ),
+    st.sampled_from(["solve", "optimize", "sweep", "scan"]),
 )
-def test_load_config_raises_only_config_error(tmp_path_factory, data):
+def test_load_config_raises_only_config_error(tmp_path_factory, data, command):
     path = tmp_path_factory.getbasetemp() / "hypothesis.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     try:
-        cfg = cli.load_config(str(path), {})
+        cfg, q, g = cli.load_config(str(path), {}, command)
     except cli.ConfigError:
         return
     assert isinstance(cfg, cli.RunConfig)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from vicontrol import control
+from vicontrol.assembly import l2_norm
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh
 
@@ -130,8 +131,8 @@ def test_optimize_large_weight_bound(mesh):
     cp = ControlProblem(mesh, params)
     res = cp.optimize(np.zeros(mesh.num_vertices))
     assert res.converged
-    u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
-    assert cp.l2_norm(res.control) <= u0_norm / params.weight + 1e-12
+    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mesh, cp.mass)
+    assert l2_norm(res.control, cp.mesh, cp.mass) <= u0_norm / params.weight + 1e-12
 
 
 def test_optimize_cost_history_monotone(mesh):
@@ -167,20 +168,20 @@ def test_state_parallelogram_identity(mesh):
         u1 = cp.solve_state(g1).u
         u2 = cp.solve_state(g2).u
         u3 = mu * u1 + (1 - mu) * u2
-        lhs = cp.l2_norm(u3) ** 2
+        lhs = l2_norm(u3, cp.mesh, cp.mass) ** 2
         rhs = (
-            mu * cp.l2_norm(u1) ** 2
-            + (1 - mu) * cp.l2_norm(u2) ** 2
-            - mu * (1 - mu) * cp.l2_norm(u2 - u1) ** 2
+            mu * l2_norm(u1, cp.mesh, cp.mass) ** 2
+            + (1 - mu) * l2_norm(u2, cp.mesh, cp.mass) ** 2
+            - mu * (1 - mu) * l2_norm(u2 - u1, cp.mesh, cp.mass) ** 2
         )
         assert abs(lhs - rhs) <= 1e-11
         # same identity for the controls themselves
         g3 = mu * g1 + (1 - mu) * g2
-        lhs_g = cp.l2_norm(g3) ** 2
+        lhs_g = l2_norm(g3, cp.mesh, cp.mass) ** 2
         rhs_g = (
-            mu * cp.l2_norm(g1) ** 2
-            + (1 - mu) * cp.l2_norm(g2) ** 2
-            - mu * (1 - mu) * cp.l2_norm(g2 - g1) ** 2
+            mu * l2_norm(g1, cp.mesh, cp.mass) ** 2
+            + (1 - mu) * l2_norm(g2, cp.mesh, cp.mass) ** 2
+            - mu * (1 - mu) * l2_norm(g2 - g1, cp.mesh, cp.mass) ** 2
         )
         assert abs(lhs_g - rhs_g) <= 1e-11
 
@@ -191,13 +192,13 @@ def test_cost_lower_bound(mesh):
     from vicontrol.assembly import coercivity_constant
 
     lam = coercivity_constant(mesh, cp.stiffness, cp.mass)
-    u0_norm = cp.l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u)
+    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mesh, cp.mass)
     c = u0_norm / lam
     rng = np.random.default_rng(16)
     for _ in range(50):
         g = rng.uniform(-10, 10, mesh.num_vertices)
         report = cp.cost(g)
-        gn = cp.l2_norm(g)
+        gn = l2_norm(g, cp.mesh, cp.mass)
         assert report.cost >= 0.5 * params.weight * gn**2 - c * gn - 1e-9
 
 
@@ -217,11 +218,12 @@ def test_strict_convexity_surrogate(mesh):
         u3 = mu * u1 + (1 - mu) * u2
         g3 = mu * g1 + (1 - mu) * g2
         u4 = cp.solve_state(g3).u
-        if cp.l2_norm(u4) > cp.l2_norm(u3):
+        if l2_norm(u4, cp.mesh, cp.mass) > l2_norm(u3, cp.mesh, cp.mass):
             continue
         checked += 1
         gap = mu * cp.cost(g1, None).cost + (1 - mu) * cp.cost(g2, None).cost - cp.cost(g3, None).cost
-        bound = 0.5 * params.weight * mu * (1 - mu) * cp.l2_norm(g2 - g1) ** 2
+        dg = l2_norm(g2 - g1, cp.mesh, cp.mass)
+        bound = 0.5 * params.weight * mu * (1 - mu) * dg**2
         assert gap >= bound - 1e-9
     assert checked > 0
 
