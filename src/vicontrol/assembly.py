@@ -7,7 +7,6 @@ convergence studies.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +44,32 @@ def dof_map(mesh: Mesh) -> DofMap:
     )
 
 
-# Neighbour (row, column) grid offsets of a vertex in increasing index order:
-# -(nx+2), -(nx+1), -1, 0, 1, nx+1, nx+2. Every coupling of the mesh is one.
-_OFFSETS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 # local vertices of a cell's lower and upper triangle, as (row, column) corners
 _CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 
 
-@functools.lru_cache(maxsize=1)
-def _pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR pattern of the 7 slots on an nx-by-ny grid: the stored-slot mask
-    (ny+1, nx+1, 7), column indices and row pointers, read-only. A slot is
-    stored where its neighbour lies on the grid: no duplicates, sorted columns."""
-    dr, dc = np.array(_OFFSETS).T
+def _pattern(nx: int, ny: int, offsets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR pattern of the stencil slots at the (row, column) grid offsets on an
+    nx-by-ny grid: the stored-slot mask (ny+1, nx+1, slots), column indices and
+    row pointers. Offsets come sorted, so that each row's columns increase, and a
+    slot is stored where its neighbour lies on the grid: no duplicates."""
+    dr, dc = np.array(offsets).T
     rows = np.arange(ny + 1)[:, None] + dr
     cols = np.arange(nx + 1)[:, None] + dc
     row_ok, col_ok = (rows >= 0) & (rows <= ny), (cols >= 0) & (cols <= nx)
-    # scipy's own index type for these values, so that csr_matrix takes the copies as they are
+    # scipy's own index type for these values, so that csr_matrix takes the arrays as they are
     n = (nx + 1) * (ny + 1)
-    index = sp.get_index_dtype(maxval=7 * n)
+    index = sp.get_index_dtype(maxval=len(offsets) * n)
     # stored slots per vertex by a float32 (BLAS) product: at most 7, so exact; a
     # float64 product's temporary would raise sweep-512's peak RSS by 1.6 MB
     counts = (row_ok.astype(np.float32) @ col_ok.T.astype(np.float32)).astype(index)
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(counts.ravel(), out=indptr[1:])
-    # mask and columns laid out (ny+1, (nx+1)*7), so that inner loops run along grid rows
+    # mask and columns laid out (ny+1, (nx+1)*slots), so that inner loops run along grid rows
     stored = np.tile(row_ok, nx + 1) & col_ok.ravel()
     first_row = (cols + dr * (nx + 1)).astype(index).ravel()  # the columns of grid row 0
     columns = np.arange(0, n, nx + 1, dtype=index)[:, None] + first_row
-    pattern = stored.reshape(ny + 1, nx + 1, 7), columns[stored], indptr
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
+    return stored.reshape(ny + 1, nx + 1, len(offsets)), columns[stored], indptr
 
 
 def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
@@ -84,24 +77,29 @@ def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     cell, summed straight into each row's stencil slots. Every triangle has a
     right angle and legs dx, dy along the axes, so local(dx, dy, area) gives
     each element matrix in closed form: for the lower and the upper triangle,
-    3x3 entries that are (ny, nx) arrays, or None where the entry is zero."""
+    3x3 entries that are (ny, nx) arrays, or None where the entry is zero. The
+    slots are the grid offsets of the entries that are not None, so the matrix
+    stores no other."""
     nx, ny = mesh.nx, mesh.ny
     # the vertex grid is the tensor product of its first row's x and first column's y
     dx = np.diff(mesh.vertices[: nx + 1, 0])
     dy = np.diff(mesh.vertices[:: nx + 1, 1])[:, None]
     if not (np.all(dx > 0) and np.all(dy > 0)):
         raise ValueError("degenerate triangles: grid lines coincide or decrease")
-    stencil = np.zeros((len(_OFFSETS), ny + 1, nx + 1))
-    for corners, matrix in zip(_CORNERS, local(dx, dy, 0.5 * (dx * dy))):
-        for (ri, ci), row in zip(corners, matrix):
-            for (rj, cj), entry in zip(corners, row):
-                if entry is not None:
-                    slot = _OFFSETS.index((rj - ri, cj - ci))
-                    stencil[slot, ri : ri + ny, ci : ci + nx] += entry
-    stored, indices, indptr = _pattern(nx, ny)
+    entries = [
+        ((rj - ri, cj - ci), (ri, ci), entry)
+        for corners, matrix in zip(_CORNERS, local(dx, dy, 0.5 * (dx * dy)))
+        for (ri, ci), row in zip(corners, matrix)
+        for (rj, cj), entry in zip(corners, row)
+        if entry is not None
+    ]
+    offsets = sorted({offset for offset, _, _ in entries})
+    stencil = np.zeros((len(offsets), ny + 1, nx + 1))
+    for offset, (ri, ci), entry in entries:
+        stencil[offsets.index(offset), ri : ri + ny, ci : ci + nx] += entry
+    stored, indices, indptr = _pattern(nx, ny, offsets)
     data = stencil.transpose(1, 2, 0)[stored]
-    # copies: eliminate_zeros compacts a matrix's index arrays in place
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(mesh.num_vertices,) * 2)
+    return sp.csr_matrix((data, indices, indptr), shape=(mesh.num_vertices,) * 2)
 
 
 def _stiffness(dx, dy, area):
@@ -126,11 +124,9 @@ def _mass(dx, dy, area):
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j)."""
-    a = _assemble(mesh, _stiffness)
     # the hypotenuse couplings of right triangles with axis-parallel legs are
-    # exact zeros: dropping them leaves the 5-point stencil
-    a.eliminate_zeros()
-    return a
+    # exact zeros, so A is the 5-point stencil
+    return _assemble(mesh, _stiffness)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -327,7 +327,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
         },
     )
     if not res.converged:  # the outputs above are written first
-        raise SolverError(f"optimizer did not converge (gradient norm {res.gradient_norm:.3e})")
+        raise SolverError(res.failure())
     if not quiet:
         print(f"optimized in {res.iterations} iterations, cost {res.cost:.6e}")
     return EXIT_OK

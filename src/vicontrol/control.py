@@ -64,6 +64,12 @@ class OptimizerResult:
     iterations: int
     converged: bool
     trace: list[dict] = field(default_factory=list)
+    stalled: int = 0  # the iteration whose accepted step left the cost unchanged, if any
+
+    def failure(self) -> str:
+        """Why the run stopped unconverged, as a SolverError reads it."""
+        stall = f"stalled at iteration {self.stalled}, " if self.stalled else ""
+        return f"optimizer did not converge ({stall}gradient norm {self.gradient_norm:.3e})"
 
 
 class ControlProblem:
@@ -134,9 +140,11 @@ class ControlProblem:
         the latest curvature pair (fall back to 1 when it is unusable), and each
         of at most 60 trial steps is half the one before; the Armijo parameter
         is 1e-4. The run stops converged once the gradient norm is at most
-        1e-8 * max(1, ||grad J(g0)||), and unconverged after 500 iterations or
-        a failed line search. A state solve that misses the tolerance, trial
-        steps included, raises SolverError, and so does a cost or gradient
+        1e-8 * max(1, ||grad J(g0)||), and unconverged after 500 iterations, a
+        failed line search, or a stall: an accepted step whose cost is not below
+        the current one, to a point that has not converged, is not taken, and
+        `stalled` names its iteration. A state solve that misses the tolerance,
+        trial steps included, raises SolverError, and so does a cost or gradient
         norm that is not finite.
         """
         g = interpolate(self.mesh, g0).copy()
@@ -151,40 +159,33 @@ class ControlProblem:
                 raise SolverError(f"cost {cost!r} or gradient norm {gnorm!r} is not finite")
             return gnorm <= gtol
 
-        trace = []
-        alpha = 1.0
-        prev_g = None
-        prev_grad = None
+        trace, alpha, prev_g, prev_grad = [], 1.0, None, None
         converged = converged_at(report.cost, gnorm)
-        it = 0
+        it = stalled = 0
         while not converged and it < 500:
             it += 1
-            if prev_g is not None:
-                s = g - prev_g
-                y = grad - prev_grad
+            if prev_g is not None:  # Barzilai-Borwein length, or 1 without positive curvature
+                s, y = g - prev_g, grad - prev_grad
                 sy = float(s @ (self.mass @ y))
-                if sy > 0:
-                    alpha = float(s @ (self.mass @ s)) / sy
-                else:
-                    alpha = 1.0
-                alpha = min(max(alpha, 1e-12), 1e6)
+                alpha = min(max(float(s @ (self.mass @ s)) / sy if sy > 0 else 1.0, 1e-12), 1e6)
             step = alpha
-            slope = -(gnorm**2)
-            accepted = False
             for _ in range(60):
                 g_try = g - step * grad
                 state_try = self.solve_state(g_try, warm_start=state.u)
                 report_try = self.cost(g_try, state_try)
-                if report_try.cost <= report.cost + 1e-4 * step * slope:
-                    accepted = True
+                if report_try.cost <= report.cost - 1e-4 * step * gnorm**2:
                     break
                 step *= 0.5
-            if not accepted:
+            else:  # no trial step gave the Armijo decrease
+                break
+            grad_try = self.gradient(g_try, state_try)
+            gnorm_try = l2_norm(grad_try, self.mesh, self.mass)
+            converged = converged_at(report_try.cost, gnorm_try)
+            if not (converged or report_try.cost < report.cost):
+                stalled = it
                 break
             prev_g, prev_grad = g, grad
-            g, state, report = g_try, state_try, report_try
-            grad = self.gradient(g, state)
-            gnorm = l2_norm(grad, self.mesh, self.mass)
+            g, state, report, grad, gnorm = g_try, state_try, report_try, grad_try, gnorm_try
             trace.append(
                 {
                     "iteration": it,
@@ -194,7 +195,6 @@ class ControlProblem:
                     "active_set_size": int(state.active_set.size),
                 }
             )
-            converged = converged_at(report.cost, gnorm)
         return OptimizerResult(
             control=g,
             state=state,
@@ -203,5 +203,6 @@ class ControlProblem:
             iterations=it,
             converged=converged,
             trace=trace,
+            stalled=stalled,
         )
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -101,6 +104,34 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
         else:
             assert np.all(np.abs(got.data - ref.data) <= 1e-15 * np.abs(ref.data))
     assert np.array_equal(dof_map(mesh).dirichlet_nodes, dirichlet_ref)
+
+
+@pytest.mark.parametrize("shape, domain, sides", _MESHES)
+def test_stiffness_and_mass_own_exactly_their_entries(shape, domain, sides):
+    mesh = build_rectangle_mesh(*shape, domain, sides)
+    a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
+    for mat in (a, mh):
+        for array in (mat.data, mat.indices):
+            # not a view of a buffer with room for more slots than are stored
+            assert array.size == mat.nnz
+            assert array.base is None or array.base.nbytes == array.nbytes
+    assert np.count_nonzero(a.data) == a.nnz  # no explicit zero
+
+
+def test_assembly_keeps_no_memory_alive():
+    small, mesh = build_rectangle_mesh(2, 2), build_rectangle_mesh(64, 64)
+    tracemalloc.start()
+    try:
+        assemble_stiffness(small), assemble_mass(small)  # one-time allocations
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assemble_stiffness(mesh), assemble_mass(mesh)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a cached 64x64 pattern would keep about 160 KB
+    assert after - before <= 4096
 
 
 def test_stiffness_and_mass_share_no_index_buffer():

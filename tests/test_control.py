@@ -145,6 +145,19 @@ def test_optimize_cost_history_monotone(mesh):
     assert res.state.converged  # final state is a valid VI solution
 
 
+def test_optimize_stops_at_a_stall():
+    # from iteration 41 on, Armijo accepts steps that leave the cost exactly
+    # unchanged; without the stall stop the run took 500 iterations
+    mesh = build_rectangle_mesh(8, 8, gamma1_sides=("left",))
+    res = ControlProblem(mesh, CostParams(weight=1e-3, flux=0.0, dirichlet=0.05)).optimize(-50.0)
+    assert not res.converged
+    assert 0 < res.stalled == res.iterations < 500
+    hist = [row["cost"] for row in res.trace]
+    assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
+    assert res.cost == hist[-1] and len(hist) == res.iterations - 1
+    assert f"stalled at iteration {res.iterations}," in res.failure()
+
+
 def test_optimize_multistart_agreement(mesh):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     rng = np.random.default_rng(10)

@@ -211,6 +211,23 @@ def test_lipschitz_check_validates_trials():
         harness.run_lipschitz_check(mesh, CostParams(weight=1.0), trials=0)
 
 
+@pytest.mark.parametrize("amplitude", [0.0, -1.0, 1.0e-200])
+def test_lipschitz_check_validates_amplitude(amplitude, monkeypatch):
+    # at amplitude 0, and at 1e-200 where ||g2 - g1||_H underflows, every pair of
+    # controls was 0 apart and resampled forever: a capped draw count fails instead
+    draws, draw = [], harness.random_control
+
+    def capped(*args):
+        draws.append(args)
+        assert len(draws) <= 100, "controls resampled 100 times"
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "random_control", capped)
+    mesh = build_rectangle_mesh(2, 2)
+    with pytest.raises(ValueError, match="amplitude"):
+        harness.run_lipschitz_check(mesh, CostParams(weight=1.0), amplitude=amplitude)
+
+
 def test_open_problem_scan_endpoints_and_identical_controls():
     mesh = build_rectangle_mesh(3, 3, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
