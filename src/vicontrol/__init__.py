@@ -15,11 +15,9 @@ from .assembly import (
 )
 from .control import ControlProblem, CostParams, CostReport, OptimizerResult
 from .mesh import (
-    BoundaryTag,
     Mesh,
     build_rectangle_mesh,
     interpolate,
-    mesh_size,
     prolongate,
     refine_uniform,
 )

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BoundaryTag, Mesh, _nodal, interpolate
+from .mesh import SIDES, Mesh, _nodal, interpolate
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,11 @@ class DofMap:
 
 
 def dof_map(mesh: Mesh) -> DofMap:
-    on_gamma1 = np.zeros(mesh.num_vertices, dtype=bool)
-    on_gamma1[mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1]] = True
-    black = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
+    on_gamma1, black = np.zeros((2, mesh.ny + 1, mesh.nx + 1), dtype=bool)
+    for side in mesh.gamma1_sides:
+        on_gamma1[SIDES[side]] = True
     black[::2, 1::2] = black[1::2, ::2] = True
-    free, black = ~on_gamma1, black.ravel()
+    free = ~on_gamma1
     return DofMap(
         dirichlet_nodes=np.flatnonzero(on_gamma1),
         free_nodes=np.flatnonzero(free),
@@ -135,9 +135,13 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Mass matrix of the Gamma2 trace: integral of phi_i phi_j over Gamma2."""
+    """Mass matrix of the Gamma2 trace: integral of phi_i phi_j over Gamma2,
+    whose edges join consecutive vertices along each side not on Gamma1."""
     n = mesh.num_vertices
-    edges = mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2]
+    grid = np.arange(n, dtype=np.int64).reshape(mesh.ny + 1, mesh.nx + 1)
+    gamma2 = [grid[index] for side, index in SIDES.items() if side not in mesh.gamma1_sides]
+    pairs = [np.column_stack([v[:-1], v[1:]]) for v in gamma2]
+    edges = np.concatenate([np.empty((0, 2), np.int64), *pairs])  # none if Gamma1 is every side
     length = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
     # edge mass (L/6) * [[2,1],[1,2]], exact for products of linears
     vals = np.column_stack([length / 3.0, length / 6.0, length / 6.0, length / 3.0]).ravel()

@@ -269,13 +269,13 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
+    failure = None
     try:
         sol = cp.solve_state(g)
     except SolverError as exc:
-        print(f"solver failure during solve: {exc}", file=sys.stderr)
         if exc.solution is None:
-            return EXIT_NOT_CONVERGED
-        sol = exc.solution
+            raise
+        sol, failure = exc.solution, exc
     dump_solution(mesh, sol, out / "solution.csv")
     write_json(
         out / "diagnostics.json",
@@ -288,8 +288,8 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
             "vertices": mesh.num_vertices,
         },
     )
-    if not sol.converged:
-        return EXIT_NOT_CONVERGED
+    if failure is not None:  # the outputs above are written first
+        raise failure
     if not quiet:
         print(
             f"solved in {sol.iterations} iterations, "

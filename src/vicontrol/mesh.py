@@ -1,24 +1,19 @@
-"""Structured triangulations of axis-aligned rectangles with tagged boundaries.
+"""Structured triangulations of axis-aligned rectangles with a Dirichlet boundary.
 
 The mesh family is fixed: an nx-by-ny grid of cells, each split along the
-lower-left to upper-right diagonal, vertices numbered row-major. Boundary
-edges carry a Dirichlet (GAMMA1) or Neumann (GAMMA2) tag; GAMMA1 must cover
-at least one whole rectangle side.
+lower-left to upper-right diagonal, vertices numbered row-major. The
+Dirichlet boundary Gamma1 is a nonempty union of whole rectangle sides; the
+rest of the boundary is the Neumann part Gamma2.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-SIDES = ("left", "right", "bottom", "top")
-
-
-class BoundaryTag(enum.Enum):
-    GAMMA1 = 1  # Dirichlet part, u = b
-    GAMMA2 = 2  # Neumann part, -du/dn = q
+# each side's vertices as an index into the (ny+1, nx+1) vertex grid, in increasing order
+SIDES = {"left": (slice(None), 0), "right": (slice(None), -1), "bottom": 0, "top": -1}
 
 
 @dataclass(frozen=True)
@@ -26,15 +21,12 @@ class Mesh:
     """Conforming P1 triangulation of a rectangle.
 
     vertices       : (n, 2) float array, row-major grid numbering
-    boundary_edges : (k, 2) int array of vertex pairs
-    boundary_tags  : (k,) array of BoundaryTag
     h              : longest triangle side
     level          : refinement count from the base mesh
+    gamma1_sides   : the sides (keys of SIDES) that make up Gamma1
     """
 
     vertices: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_tags: np.ndarray
     h: float
     level: int
     # structured-grid metadata; fixes refinement and point location
@@ -46,10 +38,6 @@ class Mesh:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def num_triangles(self) -> int:
-        return 2 * self.nx * self.ny
 
     @property
     def triangles(self) -> np.ndarray:
@@ -74,7 +62,7 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
         raise ValueError("gamma1_sides must be nonempty (meas(Gamma1) > 0 required)")
     unknown = sides - set(SIDES)
     if unknown:
-        raise ValueError(f"unknown sides {sorted(unknown)}; expected subset of {SIDES}")
+        raise ValueError(f"unknown sides {sorted(unknown)}; expected subset of {tuple(SIDES)}")
     x0, y0, x1, y1 = map(float, domain)
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"degenerate domain {domain}")
@@ -84,24 +72,11 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     xx, yy = np.meshgrid(xs, ys)  # row-major: vertex iy*(nx+1)+ix
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    stride = nx + 1
-    ix = np.arange(nx, dtype=np.int64)
-    iy = np.arange(ny, dtype=np.int64)
-    # bottom/top edges interleaved per column, then left/right per row
-    horizontal = np.column_stack([ix, ix + ny * stride]).ravel()
-    vertical = np.column_stack([iy * stride, iy * stride + nx]).ravel()
-    starts = np.concatenate([horizontal, vertical])
-    edges = np.column_stack([starts, starts + np.repeat([1, stride], [2 * nx, 2 * ny])])
-    tag = {s: BoundaryTag.GAMMA1 if s in sides else BoundaryTag.GAMMA2 for s in SIDES}
-    tags = [tag["bottom"], tag["top"]] * nx + [tag["left"], tag["right"]] * ny
-
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny
     h = float(np.hypot(dx, dy))
     return Mesh(
         vertices=vertices,
-        boundary_edges=edges,
-        boundary_tags=np.array(tags, dtype=object),
         h=h,
         level=0,
         nx=nx,
@@ -115,7 +90,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: every triangle split into 4 congruent children.
 
     For this structured family that is exactly the doubled grid, so the
-    refined mesh is rebuilt with 2*nx, 2*ny; tags are inherited side-wise.
+    refined mesh is rebuilt with 2*nx, 2*ny on the same Gamma1 sides.
     """
     return refine_times(mesh, 1)
 
@@ -125,19 +100,6 @@ def refine_times(mesh: Mesh, times: int) -> Mesh:
     k = 2**times
     fine = build_rectangle_mesh(k * mesh.nx, k * mesh.ny, mesh.domain, mesh.gamma1_sides)
     return replace(fine, h=mesh.h / k, level=mesh.level + times)
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Longest triangle side over the whole mesh.
-
-    All triangles of the structured family are congruent with longest side
-    the cell diagonal; computing it from the cell counts keeps the halving
-    under refinement exact in floating point.
-    """
-    if mesh.num_triangles == 0:
-        raise ValueError("mesh has no triangles")
-    x0, y0, x1, y1 = mesh.domain
-    return float(np.hypot((x1 - x0) / mesh.nx, (y1 - y0) / mesh.ny))
 
 
 def interpolate(mesh: Mesh, f) -> np.ndarray:

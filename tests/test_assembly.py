@@ -17,7 +17,7 @@ from vicontrol.assembly import (
     h1_norm,
     l2_norm,
 )
-from vicontrol.mesh import BoundaryTag, build_rectangle_mesh, interpolate, refine_uniform
+from vicontrol.mesh import build_rectangle_mesh, interpolate, refine_uniform
 
 
 def test_degenerate_triangle_rejected():
@@ -37,7 +37,8 @@ def test_degenerate_triangle_rejected():
 def _reference_matrices(mesh):
     """A, M_H, the Gamma2 boundary mass and the Dirichlet nodes by the
     element-by-element path: (m, 3, 2) coordinate gather, (m, 3, 3) element
-    matrices, COO -> CSR summing duplicates, and loops over boundary edges."""
+    matrices, COO -> CSR summing duplicates, and loops over the boundary edges
+    of each side, whose vertices are found by their coordinates."""
     p = mesh.vertices[mesh.triangles]
     x, y = p[:, :, 0], p[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -55,14 +56,19 @@ def _reference_matrices(mesh):
     a.eliminate_zeros()
     e_rows, e_cols, e_vals = [], [], []
     on_gamma1 = np.zeros(n, dtype=bool)
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag is BoundaryTag.GAMMA1:
-            on_gamma1[[i, j]] = True
+    x0, y0, x1, y1 = mesh.domain
+    x, y = mesh.vertices.T
+    sides = {"left": x == x0, "right": x == x1, "bottom": y == y0, "top": y == y1}
+    for side, on_side in sides.items():
+        nodes = np.flatnonzero(on_side)  # row-major numbering: in order along the side
+        if side in mesh.gamma1_sides:
+            on_gamma1[nodes] = True
             continue
-        length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
-        e_rows += [i, i, j, j]
-        e_cols += [i, j, i, j]
-        e_vals += [length / 3.0, length / 6.0, length / 6.0, length / 3.0]
+        for i, j in zip(nodes[:-1], nodes[1:]):
+            length = float(np.linalg.norm(mesh.vertices[j] - mesh.vertices[i]))
+            e_rows += [i, i, j, j]
+            e_cols += [i, j, i, j]
+            e_vals += [length / 3.0, length / 6.0, length / 6.0, length / 3.0]
     boundary = sp.coo_matrix((e_vals, (e_rows, e_cols)), shape=(n, n)).tocsr()
     return a, mh, boundary, np.flatnonzero(on_gamma1)
 
@@ -95,7 +101,7 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
     for got, ref, exact in (
         (assemble_stiffness(mesh), a_ref, dyadic),
         (assemble_mass(mesh), m_ref, dyadic),
-        (assemble_boundary_mass(mesh), bnd_ref, True),  # same COO entries in the same order
+        (assemble_boundary_mass(mesh), bnd_ref, True),  # at most two addends per entry
     ):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)

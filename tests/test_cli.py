@@ -248,7 +248,7 @@ def test_field_spec_file_wrong_length(tmp_path):
     assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
 
 
-def test_solver_nonconvergence_exit_code(tmp_path):
+def test_solver_nonconvergence_exit_code(tmp_path, capsys):
     # PDAS stalls at a residual near 1e-15, far above the requested tolerance
     cfg = write_config(
         tmp_path / "cfg.yaml",
@@ -264,6 +264,11 @@ def test_solver_nonconvergence_exit_code(tmp_path):
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["converged"] is False
     assert (tmp_path / "out" / "solution.csv").exists()
+    failures = [
+        line for line in capsys.readouterr().err.splitlines() if line.startswith("solver failure")
+    ]
+    assert len(failures) == 1
+    assert failures[0].startswith("solver failure during solve: state solve did not converge")
 
 
 def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):

@@ -2,41 +2,29 @@ import numpy as np
 import pytest
 
 from vicontrol import mesh as msh
-from vicontrol.mesh import (
-    BoundaryTag,
-    build_rectangle_mesh,
-    interpolate,
-    mesh_size,
-    prolongate,
-    refine_uniform,
-)
+from vicontrol.assembly import dof_map
+from vicontrol.mesh import build_rectangle_mesh, interpolate, prolongate, refine_uniform
 
 
 def test_unit_cell_counts():
     m = build_rectangle_mesh(1, 1, gamma1_sides=("left",))
     assert m.num_vertices == 4
-    assert m.num_triangles == 2
-    assert m.boundary_edges.shape[0] == 4
-    assert sum(tag is BoundaryTag.GAMMA1 for tag in m.boundary_tags) == 1
+    assert len(m.triangles) == 2
 
 
 def test_two_by_two_counts():
     m = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
     assert m.num_vertices == 9
-    assert m.num_triangles == 8
+    assert len(m.triangles) == 8
 
 
-def test_two_by_one_connectivity_and_edge_order():
+def test_two_by_one_connectivity():
     m = build_rectangle_mesh(2, 1, gamma1_sides=("left", "top"))
-    assert m.triangles.dtype == np.int64 and m.boundary_edges.dtype == np.int64
+    assert m.triangles.dtype == np.int64
     assert m.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
-    # bottom/top per column, then left/right per row
-    assert m.boundary_edges.tolist() == [[0, 1], [3, 4], [1, 2], [4, 5], [0, 3], [2, 5]]
-    g1, g2 = BoundaryTag.GAMMA1, BoundaryTag.GAMMA2
-    assert list(m.boundary_tags) == [g2, g1, g2, g1, g1, g2]
 
 
-def loop_connectivity(nx, ny, sides):
+def loop_connectivity(nx, ny):
     """Reference: the cell-by-cell loops that the index arithmetic replaces."""
     def vid(ix, iy):
         return iy * (nx + 1) + ix
@@ -46,25 +34,14 @@ def loop_connectivity(nx, ny, sides):
         for ix in range(nx):
             v00, v10, v01, v11 = vid(ix, iy), vid(ix + 1, iy), vid(ix, iy + 1), vid(ix + 1, iy + 1)
             triangles += [(v00, v10, v11), (v00, v11, v01)]
-    edges, tags = [], []
-    for ix in range(nx):
-        edges += [(vid(ix, 0), vid(ix + 1, 0)), (vid(ix, ny), vid(ix + 1, ny))]
-        tags += ["bottom", "top"]
-    for iy in range(ny):
-        edges += [(vid(0, iy), vid(0, iy + 1)), (vid(nx, iy), vid(nx, iy + 1))]
-        tags += ["left", "right"]
-    tags = [BoundaryTag.GAMMA1 if t in sides else BoundaryTag.GAMMA2 for t in tags]
-    return triangles, edges, tags
+    return triangles
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (4, 1), (3, 7), (16, 16)])
-@pytest.mark.parametrize("sides", [("left",), ("bottom", "right"), msh.SIDES])
+@pytest.mark.parametrize("sides", [("left",), ("bottom", "right"), tuple(msh.SIDES)])
 def test_connectivity_matches_loop_reference(nx, ny, sides):
     m = build_rectangle_mesh(nx, ny, domain=(-1.0, 0.0, 2.0, 0.5), gamma1_sides=sides)
-    triangles, edges, tags = loop_connectivity(nx, ny, sides)
-    assert m.triangles.tolist() == [list(t) for t in triangles]
-    assert m.boundary_edges.tolist() == [list(e) for e in edges]
-    assert list(m.boundary_tags) == tags
+    assert m.triangles.tolist() == [list(t) for t in loop_connectivity(nx, ny)]
 
 
 def test_empty_gamma1_rejected():
@@ -87,7 +64,7 @@ def test_unknown_side_rejected():
 def test_refine_quadruples_triangles():
     m = build_rectangle_mesh(1, 1)
     f = refine_uniform(m)
-    assert f.num_triangles == 8
+    assert len(f.triangles) == 8
     assert f.h == pytest.approx(np.sqrt(2) / 2, abs=0)
     assert f.level == 1 and m.level == 0
 
@@ -101,18 +78,17 @@ def test_refine_times_equals_repeated_refinement():
     )
     assert np.array_equal(at_once.vertices, stepwise.vertices)
     assert np.array_equal(at_once.triangles, stepwise.triangles)
-    assert np.array_equal(at_once.boundary_edges, stepwise.boundary_edges)
-    assert list(at_once.boundary_tags) == list(stepwise.boundary_tags)
+    assert at_once.gamma1_sides == stepwise.gamma1_sides
 
 
 def test_mesh_size_values():
-    assert mesh_size(build_rectangle_mesh(1, 1)) == pytest.approx(np.sqrt(2))
-    assert mesh_size(build_rectangle_mesh(4, 4)) == pytest.approx(np.sqrt(2) / 4)
+    assert build_rectangle_mesh(1, 1).h == pytest.approx(np.sqrt(2))
+    assert build_rectangle_mesh(4, 4).h == pytest.approx(np.sqrt(2) / 4)
 
 
 def test_mesh_size_halves_exactly():
     m = build_rectangle_mesh(3, 2, domain=(0, 0, 2, 1))
-    assert mesh_size(refine_uniform(m)) == mesh_size(m) / 2
+    assert refine_uniform(m).h == m.h / 2 == build_rectangle_mesh(6, 4, domain=(0, 0, 2, 1)).h
 
 
 def test_areas_positive_and_sum_to_domain():
@@ -131,19 +107,19 @@ def test_conforming_edges():
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             counts[frozenset((int(a), int(b)))] = counts.get(frozenset((int(a), int(b))), 0) + 1
     assert set(counts.values()) <= {1, 2}
-    boundary = {frozenset(map(int, e)) for e in m.boundary_edges}
+    x0, y0, x1, y1 = m.domain
     for edge, n in counts.items():
-        assert n == (1 if edge in boundary else 2)
+        (xa, ya), (xb, yb) = m.vertices[sorted(edge)]
+        on_boundary = (xa == xb and xa in (x0, x1)) or (ya == yb and ya in (y0, y1))
+        assert n == (1 if on_boundary else 2)
 
 
-def test_boundary_tags_partition_after_refinement():
+def test_dirichlet_nodes_after_refinement():
     m = build_rectangle_mesh(2, 2, gamma1_sides=("left", "top"))
     f = refine_uniform(m)
     x0, y0, x1, y1 = f.domain
-    for (i, j), tag in zip(f.boundary_edges, f.boundary_tags):
-        mid = 0.5 * (f.vertices[i] + f.vertices[j])
-        on_gamma1 = np.isclose(mid[0], x0) or np.isclose(mid[1], y1)
-        assert (tag is BoundaryTag.GAMMA1) == on_gamma1
+    on_gamma1 = np.isclose(f.vertices[:, 0], x0) | np.isclose(f.vertices[:, 1], y1)
+    assert np.array_equal(dof_map(f).dirichlet_nodes, np.flatnonzero(on_gamma1))
 
 
 def test_interpolate_constant_and_coordinates():
