@@ -23,24 +23,27 @@ class DofMap:
     Corner vertices shared by Gamma1 and Gamma2 edges count as Dirichlet.
     colours splits the free nodes into red and black, those whose grid row
     plus column is even and odd: the 5-point stiffness couples only nodes of
-    opposite colour.
+    opposite colour; it is derived on every read, so a DofMap holds only node arrays.
     """
 
     dirichlet_nodes: np.ndarray
     free_nodes: np.ndarray
-    colours: tuple[np.ndarray, np.ndarray]
+    width: int  # vertices per grid row
+
+    @property
+    def colours(self) -> tuple[np.ndarray, np.ndarray]:
+        black = np.add(*np.divmod(self.free_nodes, self.width)) % 2 == 1  # row + column odd
+        return self.free_nodes[~black], self.free_nodes[black]
 
 
 def dof_map(mesh: Mesh) -> DofMap:
-    on_gamma1, black = np.zeros((2, mesh.ny + 1, mesh.nx + 1), dtype=bool)
+    on_gamma1 = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
     for side in mesh.gamma1_sides:
         on_gamma1[SIDES[side]] = True
-    black[::2, 1::2] = black[1::2, ::2] = True
-    free = ~on_gamma1
     return DofMap(
         dirichlet_nodes=np.flatnonzero(on_gamma1),
-        free_nodes=np.flatnonzero(free),
-        colours=(np.flatnonzero(free & ~black), np.flatnonzero(free & black)),
+        free_nodes=np.flatnonzero(~on_gamma1),
+        width=mesh.nx + 1,
     )
 
 
@@ -48,11 +51,12 @@ def dof_map(mesh: Mesh) -> DofMap:
 _CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 
 
-def _pattern(nx: int, ny: int, offsets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pattern(nx: int, ny: int, offsets: list) -> tuple[np.ndarray, tuple, np.ndarray]:
     """CSR pattern of the stencil slots at the (row, column) grid offsets on an
-    nx-by-ny grid: the stored-slot mask (ny+1, nx+1, slots), column indices and
-    row pointers. Offsets come sorted, so that each row's columns increase, and a
-    slot is stored where its neighbour lies on the grid: no duplicates."""
+    nx-by-ny grid: the stored-slot mask (ny+1, nx+1, slots), its columns as two
+    addends that broadcast to it, and the row pointers. Offsets come sorted, so
+    that each row's columns increase, and a slot is stored where its neighbour
+    lies on the grid: no duplicates."""
     dr, dc = np.array(offsets).T
     rows = np.arange(ny + 1)[:, None] + dr
     cols = np.arange(nx + 1)[:, None] + dc
@@ -65,11 +69,11 @@ def _pattern(nx: int, ny: int, offsets: list) -> tuple[np.ndarray, np.ndarray, n
     counts = (row_ok.astype(np.float32) @ col_ok.T.astype(np.float32)).astype(index)
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(counts.ravel(), out=indptr[1:])
-    # mask and columns laid out (ny+1, (nx+1)*slots), so that inner loops run along grid rows
+    # the mask laid out (ny+1, (nx+1)*slots), so that inner loops run along grid rows
     stored = np.tile(row_ok, nx + 1) & col_ok.ravel()
-    first_row = (cols + dr * (nx + 1)).astype(index).ravel()  # the columns of grid row 0
-    columns = np.arange(0, n, nx + 1, dtype=index)[:, None] + first_row
-    return stored.reshape(ny + 1, nx + 1, len(offsets)), columns[stored], indptr
+    first_row = (cols + dr * (nx + 1)).astype(index)  # (nx+1, slots)
+    row_starts = np.arange(0, n, nx + 1, dtype=index)[:, None, None]
+    return stored.reshape(ny + 1, nx + 1, len(offsets)), (row_starts, first_row), indptr
 
 
 def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
@@ -81,9 +85,10 @@ def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     slots are the grid offsets of the entries that are not None, so the matrix
     stores no other."""
     nx, ny = mesh.nx, mesh.ny
-    # the vertex grid is the tensor product of its first row's x and first column's y
-    dx = np.diff(mesh.vertices[: nx + 1, 0])
-    dy = np.diff(mesh.vertices[:: nx + 1, 1])[:, None]
+    # cell widths (nx,) and heights (ny, 1), from the grid lines
+    x0, y0, x1, y1 = mesh.domain
+    dx = np.diff(np.linspace(x0, x1, nx + 1))
+    dy = np.diff(np.linspace(y0, y1, ny + 1))[:, None]
     if not (np.all(dx > 0) and np.all(dy > 0)):
         raise ValueError("degenerate triangles: grid lines coincide or decrease")
     entries = [
@@ -97,8 +102,11 @@ def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     stencil = np.zeros((len(offsets), ny + 1, nx + 1))
     for offset, (ri, ci), entry in entries:
         stencil[offsets.index(offset), ri : ri + ny, ci : ci + nx] += entry
-    stored, indices, indptr = _pattern(nx, ny, offsets)
+    del entries  # the element arrays, before the CSR gather peaks
+    stored, columns, indptr = _pattern(nx, ny, offsets)
     data = stencil.transpose(1, 2, 0)[stored]
+    del stencil  # before the column indices are built, so that the largest arrays never meet
+    indices = np.add(*columns)[stored]
     return sp.csr_matrix((data, indices, indptr), shape=(mesh.num_vertices,) * 2)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
-from .mesh import Mesh, interpolate, prolongate, refine_times, refine_uniform
+from .mesh import Mesh, prolongate, refine_times, refine_uniform
 from .vi import SolverError
 
 
@@ -139,14 +139,13 @@ def run_state_convergence(
 ) -> ConvergenceTable:
     """Errors of the state solution against a fine-mesh oracle, per level,
     with each level's cost and the oracle's cost. g is a callable or constant,
-    interpolated on each mesh; each level is warm-started from the state before
-    it prolongated (nested iteration)."""
+    which the solve and the cost each interpolate on the mesh; each level is
+    warm-started from the state before it prolongated (nested iteration)."""
 
     def solve(cp, below):
         warm_start = prolongate(*below, cp.mesh) if below else None
-        g_h = interpolate(cp.mesh, g)
-        state = cp.solve_state(g_h, warm_start)
-        return state.u, None, cp.cost(g_h, state).cost
+        state = cp.solve_state(g, warm_start)
+        return state.u, None, cp.cost(g, state).cost
 
     return _convergence_study(
         base_mesh, params, levels, oracle_extra_levels, solve, "state", "error_h"

@@ -1,9 +1,10 @@
 """Structured triangulations of axis-aligned rectangles with a Dirichlet boundary.
 
 The mesh family is fixed: an nx-by-ny grid of cells, each split along the
-lower-left to upper-right diagonal, vertices numbered row-major. The
-Dirichlet boundary Gamma1 is a nonempty union of whole rectangle sides; the
-rest of the boundary is the Neumann part Gamma2.
+lower-left to upper-right diagonal, vertices numbered row-major. A mesh
+stores that grid alone and derives its vertices and triangles when read, so it
+compares and hashes by value. The Dirichlet boundary Gamma1 is a nonempty
+union of whole rectangle sides; the rest of the boundary is the Neumann part Gamma2.
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ SIDES = {"left": (slice(None), 0), "right": (slice(None), -1), "bottom": 0, "top
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming P1 triangulation of a rectangle.
+    """Conforming P1 triangulation of a rectangle, stored as its grid alone.
 
-    vertices       : (n, 2) float array, row-major grid numbering
     h              : longest triangle side
     level          : refinement count from the base mesh
     gamma1_sides   : the sides (keys of SIDES) that make up Gamma1
     """
 
-    vertices: np.ndarray
     h: float
     level: int
-    # structured-grid metadata; fixes refinement and point location
+    # the grid, which fixes vertices, triangles, refinement and point location
     nx: int
     ny: int
     domain: tuple[float, float, float, float]  # (x0, y0, x1, y1)
@@ -37,7 +36,14 @@ class Mesh:
 
     @property
     def num_vertices(self) -> int:
-        return self.vertices.shape[0]
+        return (self.nx + 1) * (self.ny + 1)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """(n, 2) coordinates, numbered row-major; derived from the grid on every access."""
+        x0, y0, x1, y1 = self.domain
+        xx, yy = np.meshgrid(np.linspace(x0, x1, self.nx + 1), np.linspace(y0, y1, self.ny + 1))
+        return np.column_stack([xx.ravel(), yy.ravel()])
 
     @property
     def triangles(self) -> np.ndarray:
@@ -67,16 +73,10 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"degenerate domain {domain}")
 
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    xx, yy = np.meshgrid(xs, ys)  # row-major: vertex iy*(nx+1)+ix
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny
     h = float(np.hypot(dx, dy))
     return Mesh(
-        vertices=vertices,
         h=h,
         level=0,
         nx=nx,

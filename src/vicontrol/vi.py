@@ -77,7 +77,9 @@ def _complementarity_residual(
     r is A u - f where the caller already has it."""
     free = problem.dofs.free_nodes
     r = problem.stiffness @ u - problem.load if r is None else r
-    return float(np.abs(np.minimum(u[free], r[free])).max(initial=0.0))
+    gathered = u[free]  # a copy of its own, which the rest works in
+    np.minimum(gathered, r[free], out=gathered)
+    return float(np.abs(gathered, out=gathered).max(initial=0.0))
 
 
 def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarray:
@@ -87,15 +89,14 @@ def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarra
         u = np.array(u0, dtype=float)
         if u.shape != (problem.size,):
             raise ValueError("starting vector has wrong length")
-        u = np.maximum(u, 0.0)
+        np.maximum(u, 0.0, out=u)
     u[problem.dofs.dirichlet_nodes] = problem.dirichlet_value
     return u
 
 
-def _finalize(problem, u, iters, converged, method, tol_abs, r=None) -> VISolution:
+def _finalize(problem, u, iters, converged, method, tol_abs, residual) -> VISolution:
     free = problem.dofs.free_nodes
     active = free[u[free] <= tol_abs]
-    residual = _complementarity_residual(problem, u, r)
     return VISolution(u, active, residual, iters, converged, method)
 
 
@@ -134,9 +135,9 @@ def solve_psor(
     for it in range(1, max_sweeps + 1):
         for c, a_c, f_c, diag_c in colours:
             u[c] = np.maximum(u[c] + 1.5 * (f_c - a_c @ u) / diag_c, 0.0)
-        if _complementarity_residual(problem, u) <= tol_abs:
-            return _finalize(problem, u, it, True, "psor", tol_abs)
-    return _finalize(problem, u, max_sweeps, False, "psor", tol_abs)
+        if (residual := _complementarity_residual(problem, u)) <= tol_abs:
+            return _finalize(problem, u, it, True, "psor", tol_abs, residual)
+    return _finalize(problem, u, max_sweeps, False, "psor", tol_abs, residual)
 
 
 def solve_pdas(
@@ -144,11 +145,12 @@ def solve_pdas(
 ) -> VISolution:
     """Primal-dual active set iteration, at most 100 steps.
 
-    From the multiplier estimate mu = f - A u, a free node is predicted
-    active when u + mu < 0 (ties count as inactive, so a strictly interior
-    solution is a fixed point of the all-inactive set). The weight of mu is
-    1: it only steers the path, since the reduced system on the final
-    inactive nodes is solved exactly by `solve_reduced`.
+    From the multiplier estimate mu = f - A u, a free node is predicted active
+    when u + mu < 0, tested as u < A u - f (with gradual underflow, x - y < 0
+    exactly when x < y); ties count as inactive, so a strictly interior solution
+    is a fixed point of the all-inactive set. The weight of mu is 1: it only
+    steers the path, since the reduced system on the final inactive nodes is
+    solved exactly by `solve_reduced`.
     """
     free = problem.dofs.free_nodes
     dirichlet = problem.dofs.dirichlet_nodes
@@ -160,23 +162,23 @@ def solve_pdas(
 
     # the Dirichlet lift A[:, D] b, taken on each iteration's inactive rows
     lift = a[:, dirichlet] @ np.full(dirichlet.size, b)
-    mu = f - a @ u
-    older_mask = active_mask = (u[free] + mu[free]) < 0.0
+    r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
+    older_mask = active_mask = u[free] < r[free]
     for it in range(1, 101):
         inactive = free[~active_mask]
         u = np.zeros(problem.size)
         u[dirichlet] = b
         if inactive.size:
             u[inactive] = solve_reduced(a, inactive, f[inactive] - lift[inactive])
-        mu = f - a @ u
-        new_mask = (u[free] + mu[free]) < 0.0
+        r = a @ u - f
+        new_mask = u[free] < r[free]
         # accept a fixed point, or a two-cycle, of the active set within tolerance
         settled = np.array_equal(new_mask, active_mask) or np.array_equal(new_mask, older_mask)
-        # A u - f is -mu to the bit: IEEE subtraction is sign-symmetric
-        if settled and _complementarity_residual(problem, u, -mu) <= tol_abs:
-            return _finalize(problem, u, it, True, "pdas", tol_abs, -mu)
+        if settled and (residual := _complementarity_residual(problem, u, r)) <= tol_abs:
+            return _finalize(problem, u, it, True, "pdas", tol_abs, residual)
         older_mask, active_mask = active_mask, new_mask
-    return _finalize(problem, u, 100, False, "pdas", tol_abs, -mu)
+    residual = _complementarity_residual(problem, u, r)
+    return _finalize(problem, u, 100, False, "pdas", tol_abs, residual)
 
 
 def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
@@ -222,7 +224,8 @@ def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
         u = np.zeros(problem.size)
         u[dirichlet] = b
         u[free] = np.maximum(u_free, 0.0)
-        return _finalize(problem, u, bits + 1, True, "brute_force", tol)
+        residual = _complementarity_residual(problem, u)
+        return _finalize(problem, u, bits + 1, True, "brute_force", tol, residual)
     raise SolverError("no KKT-feasible active set found (numerical inconsistency)")
 
 

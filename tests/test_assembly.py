@@ -227,6 +227,22 @@ def test_dof_map_partition_and_corners():
     assert dm.dirichlet_nodes.size == 3
 
 
+def test_dof_map_keeps_only_its_node_arrays():
+    mesh = build_rectangle_mesh(256, 256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dm = dof_map(mesh)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the Dirichlet and free nodes hold one int64 per vertex between them; stored
+    # colours would hold another one per free node
+    assert after - before <= 8 * mesh.num_vertices + 4096
+    assert dm.dirichlet_nodes.size + dm.free_nodes.size == mesh.num_vertices
+
+
 def test_dof_map_colours_split_free_nodes():
     grids = [(2, 2, ("left",)), (7, 2, ("right",)), (2, 7, ("top", "bottom")), (1, 1, ("top",))]
     for nx, ny, sides in grids:

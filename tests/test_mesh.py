@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,25 @@ def test_refine_times_equals_repeated_refinement():
     assert np.array_equal(at_once.vertices, stepwise.vertices)
     assert np.array_equal(at_once.triangles, stepwise.triangles)
     assert at_once.gamma1_sides == stepwise.gamma1_sides
+    # a mesh holds no array, so it compares and hashes by value
+    assert at_once == stepwise and hash(at_once) == hash(stepwise) and at_once != m
+    assert build_rectangle_mesh(4, 4) == build_rectangle_mesh(4, 4)
+    assert hash(build_rectangle_mesh(4, 4)) == hash(build_rectangle_mesh(4, 4))
+
+
+def test_mesh_keeps_no_per_vertex_array():
+    coarse = build_rectangle_mesh(128, 128)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        meshes = build_rectangle_mesh(256, 256), refine_uniform(coarse)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a 257x257 vertex array alone is 1 MB
+    assert after - before <= 4096
+    assert [m.num_vertices for m in meshes] == [257 * 257] * 2
 
 
 def test_mesh_size_values():
@@ -177,10 +199,9 @@ def test_prolongate_is_exact_on_nested_meshes():
     field = rng.normal(size=coarse.num_vertices)
     lifted = prolongate(coarse, field, fine)
     # coarse nodes are a subset of fine nodes; values must carry over exactly
+    fine_vertices = fine.vertices  # computed on each read
     for k, (x, y) in enumerate(coarse.vertices):
-        fk = np.flatnonzero(
-            (fine.vertices[:, 0] == x) & (fine.vertices[:, 1] == y)
-        )[0]
+        fk = np.flatnonzero((fine_vertices[:, 0] == x) & (fine_vertices[:, 1] == y))[0]
         assert lifted[fk] == pytest.approx(field[k], abs=1e-14)
 
 
