@@ -51,39 +51,14 @@ def dof_map(mesh: Mesh) -> DofMap:
 _CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 
 
-def _pattern(nx: int, ny: int, offsets: list) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """CSR pattern of the stencil slots at the (row, column) grid offsets on an
-    nx-by-ny grid: the stored-slot mask (ny+1, nx+1, slots), its columns as two
-    addends that broadcast to it, and the row pointers. Offsets come sorted, so
-    that each row's columns increase, and a slot is stored where its neighbour
-    lies on the grid: no duplicates."""
-    dr, dc = np.array(offsets).T
-    rows = np.arange(ny + 1)[:, None] + dr
-    cols = np.arange(nx + 1)[:, None] + dc
-    row_ok, col_ok = (rows >= 0) & (rows <= ny), (cols >= 0) & (cols <= nx)
-    # scipy's own index type for these values, so that csr_matrix takes the arrays as they are
-    n = (nx + 1) * (ny + 1)
-    index = sp.get_index_dtype(maxval=len(offsets) * n)
-    # stored slots per vertex by a float32 (BLAS) product: at most 7, so exact; a
-    # float64 product's temporary would raise sweep-512's peak RSS by 1.6 MB
-    counts = (row_ok.astype(np.float32) @ col_ok.T.astype(np.float32)).astype(index)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(counts.ravel(), out=indptr[1:])
-    # the mask laid out (ny+1, (nx+1)*slots), so that inner loops run along grid rows
-    stored = np.tile(row_ok, nx + 1) & col_ok.ravel()
-    first_row = (cols + dr * (nx + 1)).astype(index)  # (nx+1, slots)
-    row_starts = np.arange(0, n, nx + 1, dtype=index)[:, None, None]
-    return stored.reshape(ny + 1, nx + 1, len(offsets)), (row_starts, first_row), indptr
-
-
-def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
-    """Global CSR matrix from the element matrices of both triangles of every
+def _assemble(mesh: Mesh, local) -> sp.dia_matrix:
+    """Global DIA matrix from the element matrices of both triangles of every
     cell, summed straight into each row's stencil slots. Every triangle has a
     right angle and legs dx, dy along the axes, so local(dx, dy, area) gives
     each element matrix in closed form: for the lower and the upper triangle,
-    3x3 entries that are (ny, nx) arrays, or None where the entry is zero. The
-    slots are the grid offsets of the entries that are not None, so the matrix
-    stores no other."""
+    3x3 entries that are (ny, nx) arrays, or None where the entry is zero. Each
+    slot, the grid offset of an entry that is not None, is one diagonal, in
+    ascending order; where its neighbour lies off the grid it stores a zero."""
     nx, ny = mesh.nx, mesh.ny
     # cell widths (nx,) and heights (ny, 1), from the grid lines
     x0, y0, x1, y1 = mesh.domain
@@ -102,12 +77,14 @@ def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
     stencil = np.zeros((len(offsets), ny + 1, nx + 1))
     for offset, (ri, ci), entry in entries:
         stencil[offsets.index(offset), ri : ri + ny, ci : ci + nx] += entry
-    del entries  # the element arrays, before the CSR gather peaks
-    stored, columns, indptr = _pattern(nx, ny, offsets)
-    data = stencil.transpose(1, 2, 0)[stored]
-    del stencil  # before the column indices are built, so that the largest arrays never meet
-    indices = np.add(*columns)[stored]
-    return sp.csr_matrix((data, indices, indptr), shape=(mesh.num_vertices,) * 2)
+    del entries  # the element arrays, before the shifts' temporaries
+    # slot (dr, dc) of vertex i is M[i, i + k], k = dr*(nx+1) + dc, which DIA
+    # stores at column i + k; what wraps round the ends is off-grid, so zero
+    diagonals = stencil.reshape(len(offsets), -1)
+    shifts = [dr * (nx + 1) + dc for dr, dc in offsets]  # ascending, as the offsets are
+    for diagonal, k in zip(diagonals, shifts):
+        diagonal[:] = np.roll(diagonal, k)
+    return sp.dia_matrix((diagonals, shifts), shape=(mesh.num_vertices,) * 2)
 
 
 def _stiffness(dx, dy, area):
@@ -131,14 +108,19 @@ def _mass(dx, dy, area):
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j)."""
-    # the hypotenuse couplings of right triangles with axis-parallel legs are
-    # exact zeros, so A is the 5-point stencil
-    return _assemble(mesh, _stiffness)
+    """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j), in CSR,
+    since the solvers slice and factor it: the 5-point stencil, as the
+    hypotenuse couplings of right triangles with axis-parallel legs are 0."""
+    # tocsr drops the off-grid zeros, but into views of buffers with room for them
+    a = _assemble(mesh, _stiffness).tocsr()
+    a.data, a.indices = a.data.copy(), a.indices.copy()
+    return a
 
 
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Global mass M[i,j] = integral of phi_i * phi_j over the domain."""
+def assemble_mass(mesh: Mesh) -> sp.dia_matrix:
+    """Global mass M[i,j] = integral of phi_i * phi_j over the domain, in DIA,
+    as it is only applied: its product sums each row in CSR's order from +0.0,
+    so the off-grid zeros it adds change no bit of a finite result."""
     return _assemble(mesh, _mass)
 
 
@@ -169,7 +151,7 @@ def assemble_boundary_flux(mesh: Mesh, q) -> np.ndarray:
     return assemble_boundary_mass(mesh) @ q_nodal
 
 
-def l2_norm(field: np.ndarray, mesh: Mesh, mass: sp.csr_matrix | None = None) -> float:
+def l2_norm(field: np.ndarray, mesh: Mesh, mass: sp.dia_matrix | None = None) -> float:
     """L2(Omega) norm of a P1 field: sqrt(v' M_H v)."""
     v = _nodal(mesh, field)
     m = assemble_mass(mesh) if mass is None else mass
@@ -180,7 +162,7 @@ def h1_norm(
     field: np.ndarray,
     mesh: Mesh,
     stiffness: sp.csr_matrix | None = None,
-    mass: sp.csr_matrix | None = None,
+    mass: sp.dia_matrix | None = None,
 ) -> float:
     """Full H1(Omega) norm: sqrt(v' (A + M_H) v)."""
     v = _nodal(mesh, field)
@@ -199,7 +181,7 @@ def boundary_l2_norm(
 
 
 def coercivity_constant(
-    mesh: Mesh, stiffness: sp.csr_matrix | None = None, mass: sp.csr_matrix | None = None
+    mesh: Mesh, stiffness: sp.csr_matrix | None = None, mass: sp.dia_matrix | None = None
 ) -> float:
     """Discrete coercivity constant of the stiffness form on the free nodes.
 
@@ -209,7 +191,7 @@ def coercivity_constant(
     v vanishing on Gamma1.
     """
     a = assemble_stiffness(mesh) if stiffness is None else stiffness
-    m = assemble_mass(mesh) if mass is None else mass
+    m = (assemble_mass(mesh) if mass is None else mass).tocsr()
     free = dof_map(mesh).free_nodes
     if free.size == 0:
         raise ValueError("no free nodes: Gamma1 covers every vertex")

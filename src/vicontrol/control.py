@@ -21,7 +21,7 @@ from .assembly import (
     dof_map,
     l2_norm,
 )
-from .mesh import Mesh, interpolate
+from .mesh import SIDES, Mesh, interpolate
 from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor, solve_reduced
 
 
@@ -74,20 +74,27 @@ class OptimizerResult:
 
 class ControlProblem:
     """The discrete state problem and cost at one mesh: caches the assembled
-    operators and is the one place that builds and solves a state problem."""
+    operators and is the one place that builds and solves a state problem.
+    `flux` is F_q on its support, the Gamma2 vertices `gamma2` (ascending)."""
 
     def __init__(self, mesh: Mesh, params: CostParams):
         self.mesh = mesh
         self.params = params
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_mass(mesh)
-        self.flux_load = assemble_boundary_flux(mesh, params.flux)
+        on_gamma2 = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
+        for side in SIDES.keys() - mesh.gamma1_sides:
+            on_gamma2[SIDES[side]] = True
+        self.gamma2 = np.flatnonzero(on_gamma2)
+        self.flux = assemble_boundary_flux(mesh, params.flux)[self.gamma2]
         self.dofs = dof_map(mesh)
 
     def as_obstacle_problem(self, g) -> ObstacleProblem:
+        load = self.mass @ interpolate(self.mesh, g)
+        load[self.gamma2] -= self.flux  # off Gamma2, x - 0.0 is x to the bit
         return ObstacleProblem(
             stiffness=self.stiffness,
-            load=self.mass @ interpolate(self.mesh, g) - self.flux_load,
+            load=load,
             dirichlet_value=self.params.dirichlet,
             dofs=self.dofs,
         )

@@ -33,8 +33,8 @@ class SolverError(RuntimeError):
 class ObstacleProblem:
     """Discrete obstacle problem data.
 
-    stiffness : global stiffness matrix A
-    load      : f = M_H g - F_q (full-length vector)
+    stiffness : global stiffness matrix A: symmetric, in CSR (the solvers slice and factor it)
+    load      : f = M_H g - F_q (full-length vector; F_q lives on Gamma2)
     dirichlet_value : boundary temperature b >= 0
     dofs      : Dirichlet/free node partition
     """
@@ -160,16 +160,23 @@ def solve_pdas(
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
 
-    # the Dirichlet lift A[:, D] b, taken on each iteration's inactive rows
-    lift = a[:, dirichlet] @ np.full(dirichlet.size, b)
+    # the Dirichlet lift A[:, D] b, kept on the rows that couple to Gamma1 (by
+    # A's symmetric pattern) and taken on each iteration's inactive ones
+    coupled = np.unique(a[dirichlet].indices)
+    lift = a[coupled][:, dirichlet] @ np.full(dirichlet.size, b)
     r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
     older_mask = active_mask = u[free] < r[free]
     for it in range(1, 101):
+        del r  # recomputed after the solve, so not held through it
         inactive = free[~active_mask]
         u = np.zeros(problem.size)
         u[dirichlet] = b
         if inactive.size:
-            u[inactive] = solve_reduced(a, inactive, f[inactive] - lift[inactive])
+            rhs = f[inactive]
+            at = np.searchsorted(inactive, coupled).clip(max=inactive.size - 1)
+            hit = inactive[at] == coupled
+            rhs[at[hit]] -= lift[hit]
+            u[inactive] = solve_reduced(a, inactive, rhs)
         r = a @ u - f
         new_mask = u[free] < r[free]
         # accept a fixed point, or a two-cycle, of the active set within tolerance

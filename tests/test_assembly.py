@@ -98,9 +98,10 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
     mesh = build_rectangle_mesh(nx, ny, domain, sides)
     a_ref, m_ref, bnd_ref, dirichlet_ref = _reference_matrices(mesh)
     dyadic = domain == _UNIT and nx & (nx - 1) == 0 and ny & (ny - 1) == 0
+    a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
     for got, ref, exact in (
-        (assemble_stiffness(mesh), a_ref, dyadic),
-        (assemble_mass(mesh), m_ref, dyadic),
+        (a, a_ref, dyadic),
+        (mh.tocsr(), m_ref, dyadic),
         (assemble_boundary_mass(mesh), bnd_ref, True),  # at most two addends per entry
     ):
         assert np.array_equal(got.indptr, ref.indptr)
@@ -109,19 +110,33 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
             assert np.array_equal(got.data, ref.data)
         else:
             assert np.all(np.abs(got.data - ref.data) <= 1e-15 * np.abs(ref.data))
+    assert a.format == "csr" and a.indices.dtype == a.indptr.dtype == np.int32
     assert np.array_equal(dof_map(mesh).dirichlet_nodes, dirichlet_ref)
+    # M_H is held as its 7 grid diagonals, and its product is CSR's to the bit,
+    # also on exact zeros and on -0.0 (the off-grid zeros it stores add +0.0)
+    w = nx + 1
+    assert mh.format == "dia"
+    assert mh.offsets.tolist() == [-w - 1, -w, -1, 0, 1, w, w + 1]
+    v = np.random.default_rng(nx * ny).standard_normal(mesh.num_vertices)
+    with_zeros, with_negative_zeros = v.copy(), v.copy()
+    with_zeros[::3] = 0.0
+    with_negative_zeros[::2] = -0.0
+    for x in (v, with_zeros, with_negative_zeros, np.full_like(v, -0.0)):
+        assert (mh @ x).tobytes() == (mh.tocsr() @ x).tobytes()
 
 
 @pytest.mark.parametrize("shape, domain, sides", _MESHES)
 def test_stiffness_and_mass_own_exactly_their_entries(shape, domain, sides):
     mesh = build_rectangle_mesh(*shape, domain, sides)
     a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
-    for mat in (a, mh):
-        for array in (mat.data, mat.indices):
-            # not a view of a buffer with room for more slots than are stored
-            assert array.size == mat.nnz
-            assert array.base is None or array.base.nbytes == array.nbytes
+    for array in (a.data, a.indices):
+        # not a view of a buffer with room for more slots than are stored
+        assert array.size == a.nnz
+        assert array.base is None or array.base.nbytes == array.nbytes
     assert np.count_nonzero(a.data) == a.nnz  # no explicit zero
+    # M_H: one value per vertex and diagonal, in a buffer of exactly that size
+    assert mh.data.shape == (7, mesh.num_vertices)
+    assert mh.data.base is None or mh.data.base.nbytes == mh.data.nbytes
 
 
 def test_assembly_keeps_no_memory_alive():
@@ -144,15 +159,19 @@ def test_stiffness_and_mass_share_no_index_buffer():
     mesh = build_rectangle_mesh(5, 3, (0.0, 0.0, 2.0, 1.0))
     a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
     for index in (a.indices, a.indptr):
-        assert not any(np.shares_memory(index, other) for other in (mh.indices, mh.indptr))
+        assert not np.shares_memory(index, mh.offsets)
     a_ref, mh_ref = a.copy(), mh.copy()
-    for mat in (a, mh):  # a caller that mutates its matrix in place
-        mat.indices[:] = 0
-        mat.indptr[:] = 0
-    for fresh, ref in ((assemble_stiffness(mesh), a_ref), (assemble_mass(mesh), mh_ref)):
-        assert np.array_equal(fresh.indptr, ref.indptr)
-        assert np.array_equal(fresh.indices, ref.indices)
-        assert np.array_equal(fresh.data, ref.data)
+    # a caller that mutates its matrices' index arrays in place
+    a.indices[:] = 0
+    a.indptr[:] = 0
+    mh.offsets[:] = 0
+    fresh = assemble_stiffness(mesh)
+    assert np.array_equal(fresh.indptr, a_ref.indptr)
+    assert np.array_equal(fresh.indices, a_ref.indices)
+    assert np.array_equal(fresh.data, a_ref.data)
+    fresh = assemble_mass(mesh)
+    assert np.array_equal(fresh.offsets, mh_ref.offsets)
+    assert np.array_equal(fresh.data, mh_ref.data)
 
 
 def test_stiffness_rows_sum_to_zero():
@@ -342,10 +361,10 @@ def test_coercivity_in_unit_interval_and_dense_crosscheck():
         lam = coercivity_constant(m)
         assert 0.0 < lam < 1.0
         a = assemble_stiffness(m)
-        mh = assemble_mass(m)
+        mh = assemble_mass(m).toarray()
         free = dof_map(m).free_nodes
         a_ff = a[np.ix_(free, free)].toarray()
-        b_ff = a_ff + mh[np.ix_(free, free)].toarray()
+        b_ff = a_ff + mh[np.ix_(free, free)]
         w = sla.eigh(a_ff, b_ff, eigvals_only=True)
         assert lam == pytest.approx(w.min(), rel=1e-8)
 

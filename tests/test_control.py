@@ -1,9 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from vicontrol import control
-from vicontrol.assembly import l2_norm
+from vicontrol.assembly import assemble_boundary_flux, assemble_mass, l2_norm
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh
 
@@ -285,3 +288,38 @@ def test_every_reduced_solve_is_one_minimum_degree_spsolve(monkeypatch):
     p_sparse = (gradient(cp, g, state) - g)[inactive]
     assert np.linalg.norm(state.u[inactive] - u) <= 1e-12 * np.linalg.norm(u)
     assert np.linalg.norm(p_sparse - p) <= 1e-12 * np.linalg.norm(p)
+
+
+_ALL_SIDES = ("left", "right", "bottom", "top")
+
+
+@pytest.mark.parametrize("sides", [("left",), ("left", "top"), ("bottom", "right", "top"), _ALL_SIDES])
+def test_load_is_mass_times_g_minus_the_boundary_flux(sides):
+    # the flux is held only on Gamma2, and the load is M_H g - F_q to the bit
+    mesh = build_rectangle_mesh(12, 7, (-1.3, 0.2, 0.7, 3.1), sides)
+    q = lambda x, y: 0.7 - 2.0 * x + y
+    g = np.random.default_rng(3).standard_normal(mesh.num_vertices)
+    cp = ControlProblem(mesh, CostParams(weight=1.0, flux=q))
+    expected = assemble_mass(mesh) @ g - assemble_boundary_flux(mesh, q)
+    assert cp.as_obstacle_problem(g).load.tobytes() == expected.tobytes()
+    assert cp.flux.size == cp.gamma2.size < mesh.num_vertices
+
+
+def test_control_problem_keeps_only_its_operators():
+    # in vectors of 8 n bytes: A in CSR (5 slots of 12 bytes and the row
+    # pointers, 8), M_H as its 7 diagonals, the free nodes (1) and the flux on
+    # Gamma2 make 16.0; M_H in CSR and a full-length flux load made 20.9
+    params = CostParams(1.0, 0.0, 0.05)
+    ControlProblem(build_rectangle_mesh(4, 4), params)  # one-time allocations
+    mesh = build_rectangle_mesh(256, 256)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cp = ControlProblem(mesh, params)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cp.mass.format == "dia"
+    assert (after - before) / (8 * mesh.num_vertices) <= 18
