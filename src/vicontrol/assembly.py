@@ -107,14 +107,11 @@ def _mass(dx, dy, area):
     return (((d, o, o), (o, d, o), (o, o, d)),) * 2
 
 
-def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j), in CSR,
-    since the solvers slice and factor it: the 5-point stencil, as the
-    hypotenuse couplings of right triangles with axis-parallel legs are 0."""
-    # tocsr drops the off-grid zeros, but into views of buffers with room for them
-    a = _assemble(mesh, _stiffness).tocsr()
-    a.data, a.indices = a.data.copy(), a.indices.copy()
-    return a
+def assemble_stiffness(mesh: Mesh) -> sp.dia_matrix:
+    """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j), in DIA as M_H is:
+    the 5-point stencil, as the hypotenuse couplings of right triangles with axis-parallel
+    legs are 0. Only applied, or cut into the CSC blocks that SuperLU factors."""
+    return _assemble(mesh, _stiffness)
 
 
 def assemble_mass(mesh: Mesh) -> sp.dia_matrix:
@@ -129,10 +126,12 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
     whose edges join consecutive vertices along each side not on Gamma1."""
     n = mesh.num_vertices
     grid = np.arange(n, dtype=np.int64).reshape(mesh.ny + 1, mesh.nx + 1)
-    gamma2 = [grid[index] for side, index in SIDES.items() if side not in mesh.gamma1_sides]
-    pairs = [np.column_stack([v[:-1], v[1:]]) for v in gamma2]
+    x, y = np.linspace(*mesh.domain[::2], mesh.nx + 1), np.linspace(*mesh.domain[1::2], mesh.ny + 1)
+    gamma2 = [(side, grid[index]) for side, index in SIDES.items() if side not in mesh.gamma1_sides]
+    pairs = [np.column_stack([v[:-1], v[1:]]) for _, v in gamma2]
     edges = np.concatenate([np.empty((0, 2), np.int64), *pairs])  # none if Gamma1 is every side
-    length = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
+    steps = [np.diff(y if side in ("left", "right") else x) for side, _ in gamma2]
+    length = np.abs(np.concatenate([np.empty(0), *steps]))  # of the grid line along each side
     # edge mass (L/6) * [[2,1],[1,2]], exact for products of linears
     vals = np.column_stack([length / 3.0, length / 6.0, length / 6.0, length / 3.0]).ravel()
     rows = np.repeat(edges, 2, axis=1).ravel()
@@ -161,7 +160,7 @@ def l2_norm(field: np.ndarray, mesh: Mesh, mass: sp.dia_matrix | None = None) ->
 def h1_norm(
     field: np.ndarray,
     mesh: Mesh,
-    stiffness: sp.csr_matrix | None = None,
+    stiffness: sp.dia_matrix | None = None,
     mass: sp.dia_matrix | None = None,
 ) -> float:
     """Full H1(Omega) norm: sqrt(v' (A + M_H) v)."""
@@ -181,7 +180,7 @@ def boundary_l2_norm(
 
 
 def coercivity_constant(
-    mesh: Mesh, stiffness: sp.csr_matrix | None = None, mass: sp.dia_matrix | None = None
+    mesh: Mesh, stiffness: sp.dia_matrix | None = None, mass: sp.dia_matrix | None = None
 ) -> float:
     """Discrete coercivity constant of the stiffness form on the free nodes.
 
@@ -190,7 +189,7 @@ def coercivity_constant(
     Rayleigh characterization, a(v, v) >= lambda * ||v||_V^2 for all discrete
     v vanishing on Gamma1.
     """
-    a = assemble_stiffness(mesh) if stiffness is None else stiffness
+    a = (assemble_stiffness(mesh) if stiffness is None else stiffness).tocsr()
     m = (assemble_mass(mesh) if mass is None else mass).tocsr()
     free = dof_map(mesh).free_nodes
     if free.size == 0:

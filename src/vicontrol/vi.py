@@ -33,13 +33,13 @@ class SolverError(RuntimeError):
 class ObstacleProblem:
     """Discrete obstacle problem data.
 
-    stiffness : global stiffness matrix A: symmetric, in CSR (the solvers slice and factor it)
+    stiffness : global stiffness matrix A: symmetric, its 5-point stencil in DIA
     load      : f = M_H g - F_q (full-length vector; F_q lives on Gamma2)
     dirichlet_value : boundary temperature b >= 0
     dofs      : Dirichlet/free node partition
     """
 
-    stiffness: sp.csr_matrix
+    stiffness: sp.dia_matrix
     load: np.ndarray
     dirichlet_value: float
     dofs: DofMap
@@ -100,13 +100,28 @@ def _finalize(problem, u, iters, converged, method, tol_abs, residual) -> VISolu
     return VISolution(u, active, residual, iters, converged, method)
 
 
-def solve_reduced(stiffness: sp.csr_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A[nodes, nodes] x = rhs (a PDAS step or an adjoint) by sparse LU,
-    ordered by minimum degree on A + A^T since A is SPD on free nodes. SuperLU
-    signals overflow or singularity by non-finite values: those raise SolverError."""
+def _block(a: sp.dia_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+    """A[rows, cols] in CSC (both ascending) from the diagonals, stored by ascending offset k_d
+    and 0 off the grid: data[d][j] is A[j - k_d, j], so in reverse they give a column's rows in
+    order. Zeros drop as in tocsr(): the arrays are those of A.tocsr()[rows][:, cols].tocsc()."""
+    at = np.full(a.shape[0], -1, dtype=np.int32)  # each row's position in `rows`, or -1
+    at[rows] = np.arange(rows.size, dtype=np.int32)
+    index = np.stack([at.take(cols - k, mode="clip") for k in a.offsets[::-1]])  # int32
+    values = a.data[::-1, cols]
+    keep = (index >= 0) & (values != 0)
+    indptr = np.pad(np.cumsum(np.count_nonzero(keep, axis=0), dtype=np.int32), (1, 0))
+    keep = np.ascontiguousarray(keep.T)  # column by column
+    data, values = values.T[keep], None  # released before the row indices are gathered
+    return sp.csc_matrix((data, index.T[keep], indptr), shape=(rows.size, cols.size))
+
+
+def solve_reduced(stiffness: sp.dia_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A[nodes, nodes] x = rhs (a PDAS step or an adjoint) by sparse LU on the CSC
+    block of the ascending nodes, ordered by minimum degree on A + A^T since A is SPD on free
+    nodes. SuperLU signals overflow or singularity by non-finite values: those raise SolverError."""
     if not np.all(np.isfinite(rhs)):
         raise SolverError("right-hand side of the reduced system is not finite")
-    x = spla.spsolve(stiffness[np.ix_(nodes, nodes)].tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+    x = spla.spsolve(_block(stiffness, nodes, nodes), rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(x)):
         raise SolverError("solution of the reduced system is not finite")
     return x
@@ -154,16 +169,17 @@ def solve_pdas(
     """
     free = problem.dofs.free_nodes
     dirichlet = problem.dofs.dirichlet_nodes
-    a = problem.stiffness.tocsr()
+    a = problem.stiffness
     f = problem.load
     b = problem.dirichlet_value
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
 
-    # the Dirichlet lift A[:, D] b, kept on the rows that couple to Gamma1 (by
-    # A's symmetric pattern) and taken on each iteration's inactive ones
-    coupled = np.unique(a[dirichlet].indices)
-    lift = a[coupled][:, dirichlet] @ np.full(dirichlet.size, b)
+    # the Dirichlet lift A[:, D] b, kept on the rows that couple to Gamma1 and taken on
+    # each iteration's inactive ones; a row sums over ascending columns from +0.0, as in CSR
+    a_d = _block(a, np.arange(problem.size), dirichlet)
+    coupled = np.unique(a_d.indices)
+    lift = (a_d @ np.full(dirichlet.size, b))[coupled]
     r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
     older_mask = active_mask = u[free] < r[free]
     for it in range(1, 101):

@@ -18,6 +18,7 @@ from vicontrol.assembly import (
     l2_norm,
 )
 from vicontrol.mesh import build_rectangle_mesh, interpolate, refine_uniform
+from vicontrol.vi import _block
 
 
 def test_degenerate_triangle_rejected():
@@ -100,7 +101,7 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
     dyadic = domain == _UNIT and nx & (nx - 1) == 0 and ny & (ny - 1) == 0
     a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
     for got, ref, exact in (
-        (a, a_ref, dyadic),
+        (a.tocsr(), a_ref, dyadic),
         (mh.tocsr(), m_ref, dyadic),
         (assemble_boundary_mass(mesh), bnd_ref, True),  # at most two addends per entry
     ):
@@ -110,33 +111,63 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
             assert np.array_equal(got.data, ref.data)
         else:
             assert np.all(np.abs(got.data - ref.data) <= 1e-15 * np.abs(ref.data))
-    assert a.format == "csr" and a.indices.dtype == a.indptr.dtype == np.int32
     assert np.array_equal(dof_map(mesh).dirichlet_nodes, dirichlet_ref)
-    # M_H is held as its 7 grid diagonals, and its product is CSR's to the bit,
-    # also on exact zeros and on -0.0 (the off-grid zeros it stores add +0.0)
+    # A and M_H are held as their 5 and 7 grid diagonals, and their products are
+    # CSR's to the bit, also on exact zeros and on -0.0 (the off-grid zeros they
+    # store add +0.0)
     w = nx + 1
-    assert mh.format == "dia"
+    assert a.format == mh.format == "dia"
+    assert a.offsets.tolist() == [-w, -1, 0, 1, w]
     assert mh.offsets.tolist() == [-w - 1, -w, -1, 0, 1, w, w + 1]
     v = np.random.default_rng(nx * ny).standard_normal(mesh.num_vertices)
     with_zeros, with_negative_zeros = v.copy(), v.copy()
     with_zeros[::3] = 0.0
     with_negative_zeros[::2] = -0.0
     for x in (v, with_zeros, with_negative_zeros, np.full_like(v, -0.0)):
-        assert (mh @ x).tobytes() == (mh.tocsr() @ x).tobytes()
+        for matrix in (a, mh):
+            assert (matrix @ x).tobytes() == (matrix.tocsr() @ x).tobytes()
 
 
 @pytest.mark.parametrize("shape, domain, sides", _MESHES)
 def test_stiffness_and_mass_own_exactly_their_entries(shape, domain, sides):
     mesh = build_rectangle_mesh(*shape, domain, sides)
     a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
-    for array in (a.data, a.indices):
-        # not a view of a buffer with room for more slots than are stored
-        assert array.size == a.nnz
-        assert array.base is None or array.base.nbytes == array.nbytes
-    assert np.count_nonzero(a.data) == a.nnz  # no explicit zero
-    # M_H: one value per vertex and diagonal, in a buffer of exactly that size
-    assert mh.data.shape == (7, mesh.num_vertices)
-    assert mh.data.base is None or mh.data.base.nbytes == mh.data.nbytes
+    # one value per vertex and diagonal, each in a buffer of exactly that size
+    # (not a view of one with room for more slots than are stored)
+    for matrix, slots in ((a, 5), (mh, 7)):
+        assert matrix.data.shape == (slots, mesh.num_vertices)
+        assert matrix.data.base is None or matrix.data.base.nbytes == matrix.data.nbytes
+    # A's zeros are exactly its off-grid slots, one for each boundary vertex and
+    # each side of the domain it lies on; tocsr() drops them, leaving no explicit zero
+    nx, ny = shape
+    on_grid = 5 * mesh.num_vertices - 2 * (nx + 1) - 2 * (ny + 1)
+    assert np.count_nonzero(a.data) == a.tocsr().nnz == on_grid
+    assert np.count_nonzero(a.tocsr().data) == on_grid
+
+
+_UNDERFLOW = ((4, 4), (0.0, 0.0, 1e-163, 1.0), ("left",))  # dx^2 is 0: A stores -0.0
+
+
+@pytest.mark.parametrize("shape, domain, sides", [*_MESHES, _UNDERFLOW])
+def test_block_from_the_diagonals_is_the_csr_slice(shape, domain, sides):
+    # array for array, dtypes included, so SuperLU gets the same input and bits
+    mesh = build_rectangle_mesh(*shape, domain, sides)
+    a = assemble_stiffness(mesh)
+    csr = a.tocsr()
+    dofs, every = dof_map(mesh), np.arange(mesh.num_vertices)
+    free = dofs.free_nodes
+    rng = np.random.default_rng(mesh.num_vertices)
+    subsets = [free, free[:1], free[-1:], every]
+    sizes = rng.integers(1, free.size + 1, 3) if free.size else []  # Gamma1 may be every vertex
+    subsets += [np.sort(rng.choice(free, size, replace=False)) for size in sizes]
+    # square blocks, and the Dirichlet columns on every row that PDAS lifts with
+    for rows, cols in [*((nodes, nodes) for nodes in subsets), (every, dofs.dirichlet_nodes)]:
+        got, ref = _block(a, rows, cols), csr[np.ix_(rows, cols)].tocsc()
+        assert got.format == ref.format == "csc" and got.shape == ref.shape
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_assembly_keeps_no_memory_alive():
@@ -158,16 +189,13 @@ def test_assembly_keeps_no_memory_alive():
 def test_stiffness_and_mass_share_no_index_buffer():
     mesh = build_rectangle_mesh(5, 3, (0.0, 0.0, 2.0, 1.0))
     a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
-    for index in (a.indices, a.indptr):
-        assert not np.shares_memory(index, mh.offsets)
+    assert not np.shares_memory(a.offsets, mh.offsets)
     a_ref, mh_ref = a.copy(), mh.copy()
     # a caller that mutates its matrices' index arrays in place
-    a.indices[:] = 0
-    a.indptr[:] = 0
+    a.offsets[:] = 0
     mh.offsets[:] = 0
     fresh = assemble_stiffness(mesh)
-    assert np.array_equal(fresh.indptr, a_ref.indptr)
-    assert np.array_equal(fresh.indices, a_ref.indices)
+    assert np.array_equal(fresh.offsets, a_ref.offsets)
     assert np.array_equal(fresh.data, a_ref.data)
     fresh = assemble_mass(mesh)
     assert np.array_equal(fresh.offsets, mh_ref.offsets)
@@ -200,7 +228,7 @@ def test_galerkin_consistency_for_affine_pairs():
 @pytest.mark.parametrize("sides", [("left",), ("left", "top")])
 def test_stiffness_stores_the_five_point_stencil(domain, sides):
     mesh = build_rectangle_mesh(5, 3, domain, sides)
-    a = assemble_stiffness(mesh)
+    a = assemble_stiffness(mesh).tocsr()
     assert a.nnz == np.count_nonzero(a.data)  # no explicit zeros
     x, y = mesh.vertices.T
     interior = (x > domain[0]) & (x < domain[2]) & (y > domain[1]) & (y < domain[3])
@@ -232,7 +260,7 @@ def test_symmetry_and_definiteness():
 
 def test_restricted_stiffness_positive_definite():
     m = build_rectangle_mesh(3, 3)
-    a = assemble_stiffness(m)
+    a = assemble_stiffness(m).tocsr()
     free = dof_map(m).free_nodes
     sla.cholesky(a[np.ix_(free, free)].toarray())
 
@@ -269,7 +297,7 @@ def test_dof_map_colours_split_free_nodes():
         dm = dof_map(m)
         # every free node in exactly one colour
         assert np.array_equal(np.sort(np.concatenate(dm.colours)), dm.free_nodes)
-        a = assemble_stiffness(m)
+        a = assemble_stiffness(m).tocsr()
         for nodes in dm.colours:
             block = a[np.ix_(nodes, nodes)]
             assert block.nnz == nodes.size and np.all(block.diagonal() > 0)
@@ -360,7 +388,7 @@ def test_coercivity_in_unit_interval_and_dense_crosscheck():
     ):
         lam = coercivity_constant(m)
         assert 0.0 < lam < 1.0
-        a = assemble_stiffness(m)
+        a = assemble_stiffness(m).tocsr()
         mh = assemble_mass(m).toarray()
         free = dof_map(m).free_nodes
         a_ff = a[np.ix_(free, free)].toarray()

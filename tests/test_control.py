@@ -306,9 +306,9 @@ def test_load_is_mass_times_g_minus_the_boundary_flux(sides):
 
 
 def test_control_problem_keeps_only_its_operators():
-    # in vectors of 8 n bytes: A in CSR (5 slots of 12 bytes and the row
-    # pointers, 8), M_H as its 7 diagonals, the free nodes (1) and the flux on
-    # Gamma2 make 16.0; M_H in CSR and a full-length flux load made 20.9
+    # in vectors of 8 n bytes: A as its 5 diagonals, M_H as its 7, the free nodes
+    # (1) and the flux on Gamma2 make 13.0; A in CSR (5 slots of 12 bytes and the
+    # row pointers, 8) made 16.0, and M_H in CSR and a full-length flux load 20.9
     params = CostParams(1.0, 0.0, 0.05)
     ControlProblem(build_rectangle_mesh(4, 4), params)  # one-time allocations
     mesh = build_rectangle_mesh(256, 256)
@@ -321,5 +321,5 @@ def test_control_problem_keeps_only_its_operators():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert cp.mass.format == "dia"
-    assert (after - before) / (8 * mesh.num_vertices) <= 18
+    assert cp.stiffness.format == cp.mass.format == "dia"
+    assert (after - before) / (8 * mesh.num_vertices) <= 14

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from vicontrol.assembly import coercivity_constant, h1_norm, l2_norm
+from vicontrol.assembly import assemble_stiffness, coercivity_constant, dof_map, h1_norm, l2_norm
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_uniform
-from vicontrol.vi import brute_force_oracle, dump_solution, solve_pdas, solve_psor, verify_vi
+from vicontrol.vi import (
+    _block,
+    brute_force_oracle,
+    dump_solution,
+    solve_pdas,
+    solve_psor,
+    solve_reduced,
+    verify_vi,
+)
 
 
 def obstacle_problem(mesh, g, q, b):
@@ -55,7 +63,7 @@ def test_inactive_case_matches_linear_solve(mesh3):
     prob = obstacle_problem(mesh3, 10.0, 0.0, 1.0)
     free = prob.dofs.free_nodes
     dirichlet = prob.dofs.dirichlet_nodes
-    a = prob.stiffness
+    a = prob.stiffness.tocsr()
     rhs = prob.load[free] - a[np.ix_(free, dirichlet)] @ np.ones(dirichlet.size)
     u_lin = np.ones(prob.size)
     u_lin[free] = spla.spsolve(a[np.ix_(free, free)].tocsc(), rhs)
@@ -114,6 +122,52 @@ def test_pdas_peak_memory_of_a_warm_start():
     # with both held over all n rows, 8.4 when u + mu < 0 and the final residual
     # formed their own temporaries
     assert (peak - before) / (8 * fine.num_vertices) <= 5.0
+
+
+# the GRIDS on the unit square, larger and stretched ones, and a grid whose vertical
+# couplings underflow to -0.0 (dx = 2.5e-164, so dx^2 is 0), which A stores and a
+# block drops
+_LIFT_MESHES = [
+    *((nx, ny, sides, (0.0, 0.0, 1.0, 1.0)) for nx, ny, sides in GRIDS),
+    (13, 4, ("left", "top"), (-1.3, 0.2, 0.7, 3.1)),
+    (48, 17, ("bottom",), (0.1, 0.0, 1.0, 1.7)),
+    (4, 4, ("left",), (0.0, 0.0, 1e-163, 1.0)),
+    (4, 4, ("right", "bottom"), (0.0, 0.0, 1e-163, 1.0)),
+]
+
+
+@pytest.mark.parametrize("nx, ny, sides, domain", _LIFT_MESHES)
+def test_lift_rows_and_values_match_the_csr_computation(nx, ny, sides, domain):
+    # solve_pdas's Dirichlet lift, from the block A[:, D], against the CSR rows of A
+    # that couple to Gamma1 and the CSR product A[coupled, D] b, to the bit
+    mesh = build_rectangle_mesh(nx, ny, domain, sides)
+    a, dirichlet = assemble_stiffness(mesh), dof_map(mesh).dirichlet_nodes
+    b = np.full(dirichlet.size, np.random.default_rng(nx).uniform(0.02, 1.0))
+    a_d = _block(a, np.arange(mesh.num_vertices), dirichlet)
+    coupled = np.unique(a_d.indices)
+    lift = (a_d @ b)[coupled]
+    csr = a.tocsr()
+    ref_coupled = np.unique(csr[dirichlet].indices)
+    assert np.array_equal(coupled, ref_coupled)
+    assert lift.tobytes() == (csr[ref_coupled][:, dirichlet] @ b).tobytes()
+
+
+def test_solve_reduced_peak_memory_on_the_full_free_set():
+    # in full-length vectors of 8 n bytes: about 14 for the block cut from A's
+    # diagonals and released temporaries, 17.3 for a CSR slice and its tocsc()
+    mesh = build_rectangle_mesh(128, 128)
+    a, free = assemble_stiffness(mesh), dof_map(mesh).free_nodes
+    rhs = np.ones(free.size)
+    solve_reduced(a, free, rhs)  # one-time allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve_reduced(a, free, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (8 * mesh.num_vertices) <= 17
 
 
 def test_psor_not_converged_flagged():
