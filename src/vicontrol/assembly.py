@@ -162,12 +162,16 @@ def h1_norm(
     mesh: Mesh,
     stiffness: sp.dia_matrix | None = None,
     mass: sp.dia_matrix | None = None,
-) -> float:
-    """Full H1(Omega) norm: sqrt(v' (A + M_H) v)."""
+    with_l2: bool = False,
+) -> float | tuple[float, float]:
+    """Full H1(Omega) norm: sqrt(v' (A + M_H) v); with_l2 returns it paired with
+    the L2(Omega) norm, bit for bit l2_norm's, from the one product M_H v."""
     v = _nodal(mesh, field)
     a = assemble_stiffness(mesh) if stiffness is None else stiffness
     m = assemble_mass(mesh) if mass is None else mass
-    return float(np.sqrt(max(v @ (a @ v) + v @ (m @ v), 0.0)))
+    vmv = v @ (m @ v)
+    h1 = float(np.sqrt(max(v @ (a @ v) + vmv, 0.0)))
+    return (h1, float(np.sqrt(max(vmv, 0.0)))) if with_l2 else h1
 
 
 def boundary_l2_norm(

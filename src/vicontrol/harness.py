@@ -114,12 +114,13 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
     for mesh, u, g, cost in solved:
         du = prolongate(mesh, u, oracle_mesh) - oracle_u
         dg = None if g is None else prolongate(mesh, g, oracle_mesh) - oracle_g
+        error_v, error_h = h1_norm(du, oracle_mesh, a_o, m_o, with_l2=True)
         table.rows.append(
             ConvergenceRow(
                 level=mesh.level,
                 h=mesh.h,
-                error_v=h1_norm(du, oracle_mesh, a_o, m_o),
-                error_h=l2_norm(du, oracle_mesh, m_o),
+                error_v=error_v,
+                error_h=error_h,
                 cost=cost,
                 control_distance=float("nan") if dg is None else l2_norm(dg, oracle_mesh, m_o),
             )
@@ -140,11 +141,18 @@ def run_state_convergence(
     """Errors of the state solution against a fine-mesh oracle, per level,
     with each level's cost and the oracle's cost. g is a callable or constant,
     which the solve and the cost each interpolate on the mesh; each level is
-    warm-started from the state before it prolongated (nested iteration)."""
+    warm-started from the state before it prolongated (nested iteration). A level
+    more than one refinement above that state, as the oracle may be, climbs: each
+    mesh in between is solved from the one below, only as a start, then dropped."""
 
     def solve(cp, below):
-        warm_start = prolongate(*below, cp.mesh) if below else None
-        state = cp.solve_state(g, warm_start)
+        while below and cp.mesh.level - below[0].level > 1:
+            up = refine_uniform(below[0])
+            try:
+                below = up, ControlProblem(up, params).solve_state(g, prolongate(*below, up)).u
+            except SolverError as exc:
+                raise SolverError(f"start at {up.nx}x{up.ny}: {exc}", exc.solution)
+        state = cp.solve_state(g, prolongate(*below, cp.mesh) if below else None)
         return state.u, None, cp.cost(g, state).cost
 
     return _convergence_study(

@@ -181,7 +181,7 @@ def solve_pdas(
     coupled = np.unique(a_d.indices)
     lift = (a_d @ np.full(dirichlet.size, b))[coupled]
     r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
-    older_mask = active_mask = u[free] < r[free]
+    older_mask = active_mask = (u < r)[free]
     for it in range(1, 101):
         del r  # recomputed after the solve, so not held through it
         inactive = free[~active_mask]
@@ -194,7 +194,7 @@ def solve_pdas(
             rhs[at[hit]] -= lift[hit]
             u[inactive] = solve_reduced(a, inactive, rhs)
         r = a @ u - f
-        new_mask = u[free] < r[free]
+        new_mask = (u < r)[free]
         # accept a fixed point, or a two-cycle, of the active set within tolerance
         settled = np.array_equal(new_mask, active_mask) or np.array_equal(new_mask, older_mask)
         if settled and (residual := _complementarity_residual(problem, u, r)) <= tol_abs:

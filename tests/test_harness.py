@@ -70,17 +70,19 @@ def test_cost_convergence_exact_case(base):
 
 
 def test_sweep_solves_each_problem_once(base, monkeypatch):
-    calls = []
+    sizes = []  # unknowns per PDAS call
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve_pdas(*args, **kwargs)
+    def counting(problem, **kwargs):
+        sizes.append(problem.size)
+        return solve_pdas(problem, **kwargs)
 
     monkeypatch.setattr(control, "solve_pdas", counting)
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base, 10.0, params, levels=3, oracle_extra_levels=2)
     run = harness.run_cost_convergence(table)
-    assert len(calls) == 3 + 1  # three levels and the oracle
+    # three levels (2x2 to 8x8), the 16x16 start the oracle climbs through, and the oracle
+    assert len(sizes) == len(set(sizes)) == 3 + 1 + 1
+    assert sizes.count(refine_times(base, 4).num_vertices) == 1
     assert run["oracle_level"] == 4
     assert [r["cost"] for r in run["rows"]] == [r.cost for r in table.rows]
 
@@ -116,18 +118,75 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
     assert warm_oracle_iterations < cold_oracle_iterations
 
 
-def test_psor_sweep_agrees_with_pdas_sweep(base):
+@pytest.mark.parametrize("extra", [1, 2])  # at 2, the oracle climbs through a start
+def test_psor_sweep_agrees_with_pdas_sweep(base, extra):
     def g(x, y):
         return -40.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.08)
 
     tables = [
         harness.run_state_convergence(
-            base, g, CostParams(1.0, 0.0, 0.05, solver=solver), levels=3, oracle_extra_levels=1
+            base, g, CostParams(1.0, 0.0, 0.05, solver=solver), levels=3, oracle_extra_levels=extra
         )
         for solver in ("pdas", "psor")
     ]
     assert tables[1].rate_v == pytest.approx(tables[0].rate_v, rel=1e-6)
     assert tables[1].rate_h == pytest.approx(tables[0].rate_h, rel=1e-6)
+
+
+def test_oracle_climb_settles_its_active_set_and_changes_no_bits(monkeypatch):
+    iterations = []  # (unknowns, PDAS iterations) per solve
+
+    def counting(problem, **kwargs):
+        sol = solve_pdas(problem, **kwargs)
+        iterations.append((problem.size, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(control, "solve_pdas", counting)
+    base4 = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=0.05)
+    table = harness.run_state_convergence(base4, -50.0, params, levels=4, oracle_extra_levels=3)
+    oracle_mesh = refine_times(base4, 6)  # 256x256, climbed to through 64x64 and 128x128
+    assert [it for n, it in iterations if n == oracle_mesh.num_vertices] == [1]
+    iterations.clear()
+
+    # the same levels, then the oracle warm-started straight from the prolongated 32x32 state
+    below = None
+    states = []
+    for k in range(4):
+        cp = control.ControlProblem(refine_times(base4, k), params)
+        state = cp.solve_state(-50.0, prolongate(*below, cp.mesh) if below else None)
+        states.append((cp.mesh, state.u, cp.cost(-50.0, state).cost))
+        below = cp.mesh, state.u
+    oracle_cp = control.ControlProblem(oracle_mesh, params)
+    oracle_state = oracle_cp.solve_state(-50.0, prolongate(*below, oracle_mesh))
+    assert iterations[-1] == (oracle_mesh.num_vertices, 3)
+    assert table.oracle_cost == oracle_cp.cost(-50.0, oracle_state).cost
+    assert oracle_state.active_set.size > 0  # the obstacle is active
+    for row, (mesh, u, cost) in zip(table.rows, states, strict=True):
+        diff = prolongate(mesh, u, oracle_mesh) - oracle_state.u
+        assert row.cost == cost
+        assert row.error_v == h1_norm(diff, oracle_mesh, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_h == l2_norm(diff, oracle_mesh, oracle_cp.mass)
+
+
+def test_failed_start_names_its_mesh(base, monkeypatch):
+    solve_state = control.ControlProblem.solve_state
+    failed = []
+
+    def failing_at_32(cp, g, warm_start=None):
+        sol = solve_state(cp, g, warm_start)
+        if cp.mesh.nx == 32:
+            failed.append(sol)
+            raise SolverError("state solve did not converge (residual 1.000e+00)", sol)
+        return sol
+
+    monkeypatch.setattr(control.ControlProblem, "solve_state", failing_at_32)
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    # levels 2x2 and 4x4; the 64x64 oracle climbs through 8x8, 16x16 and 32x32
+    named = r"^level 5 \(64x64\): start at 32x32: state solve"
+    with pytest.raises(SolverError, match=named) as info:
+        harness.run_state_convergence(base, 10.0, params, levels=2, oracle_extra_levels=4)
+    assert info.value.solution is failed[0]
 
 
 def test_failed_solve_names_its_level(base):
