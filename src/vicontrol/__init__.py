@@ -25,10 +25,8 @@ from .vi import (
     ObstacleProblem,
     SolverError,
     VISolution,
-    brute_force_oracle,
     solve_pdas,
     solve_psor,
-    verify_vi,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import SIDES, Mesh, _nodal, interpolate
+from .mesh import SIDES, Mesh, interpolate
 
 
 @dataclass(frozen=True)
@@ -150,56 +150,38 @@ def assemble_boundary_flux(mesh: Mesh, q) -> np.ndarray:
     return assemble_boundary_mass(mesh) @ q_nodal
 
 
-def l2_norm(field: np.ndarray, mesh: Mesh, mass: sp.dia_matrix | None = None) -> float:
-    """L2(Omega) norm of a P1 field: sqrt(v' M_H v)."""
-    v = _nodal(mesh, field)
-    m = assemble_mass(mesh) if mass is None else mass
+def l2_norm(v: np.ndarray, m: sp.dia_matrix) -> float:
+    """L2(Omega) norm of a P1 field from its nodal values and M_H: sqrt(v' M_H v)."""
     return float(np.sqrt(max(v @ (m @ v), 0.0)))
 
 
 def h1_norm(
-    field: np.ndarray,
-    mesh: Mesh,
-    stiffness: sp.dia_matrix | None = None,
-    mass: sp.dia_matrix | None = None,
-    with_l2: bool = False,
+    v: np.ndarray, a: sp.dia_matrix, m: sp.dia_matrix, with_l2: bool = False
 ) -> float | tuple[float, float]:
     """Full H1(Omega) norm: sqrt(v' (A + M_H) v); with_l2 returns it paired with
     the L2(Omega) norm, bit for bit l2_norm's, from the one product M_H v."""
-    v = _nodal(mesh, field)
-    a = assemble_stiffness(mesh) if stiffness is None else stiffness
-    m = assemble_mass(mesh) if mass is None else mass
     vmv = v @ (m @ v)
     h1 = float(np.sqrt(max(v @ (a @ v) + vmv, 0.0)))
     return (h1, float(np.sqrt(max(vmv, 0.0)))) if with_l2 else h1
 
 
-def boundary_l2_norm(
-    field: np.ndarray, mesh: Mesh, boundary_mass: sp.csr_matrix | None = None
-) -> float:
-    """L2(Gamma2) norm of the trace of a P1 field."""
-    v = _nodal(mesh, field)
-    m = assemble_boundary_mass(mesh) if boundary_mass is None else boundary_mass
-    return float(np.sqrt(max(v @ (m @ v), 0.0)))
+def boundary_l2_norm(v: np.ndarray, boundary_mass: sp.csr_matrix) -> float:
+    """L2(Gamma2) norm of the trace of a P1 field, from the Gamma2 mass matrix."""
+    return l2_norm(v, boundary_mass)
 
 
-def coercivity_constant(
-    mesh: Mesh, stiffness: sp.dia_matrix | None = None, mass: sp.dia_matrix | None = None
-) -> float:
+def coercivity_constant(a: sp.dia_matrix, m: sp.dia_matrix, free: np.ndarray) -> float:
     """Discrete coercivity constant of the stiffness form on the free nodes.
 
-    Smallest eigenvalue of A x = lambda (A + M_H) x restricted to nodes off
-    Gamma1, by shift-invert Lanczos about 0 from a fixed start vector. By the
-    Rayleigh characterization, a(v, v) >= lambda * ||v||_V^2 for all discrete
-    v vanishing on Gamma1.
+    Smallest eigenvalue of A x = lambda (A + M_H) x restricted to the free
+    nodes (those off Gamma1), by shift-invert Lanczos about 0 from a fixed
+    start vector. By the Rayleigh characterization, a(v, v) >= lambda *
+    ||v||_V^2 for all discrete v vanishing on Gamma1.
     """
-    a = (assemble_stiffness(mesh) if stiffness is None else stiffness).tocsr()
-    m = (assemble_mass(mesh) if mass is None else mass).tocsr()
-    free = dof_map(mesh).free_nodes
     if free.size == 0:
         raise ValueError("no free nodes: Gamma1 covers every vertex")
-    a_ff = a[np.ix_(free, free)].tocsc()
-    b_ff = (a_ff + m[np.ix_(free, free)]).tocsc()
+    a_ff = a.tocsr()[np.ix_(free, free)].tocsc()
+    b_ff = (a_ff + m.tocsr()[np.ix_(free, free)]).tocsc()
     if free.size == 1:  # eigsh needs k < N
         return float(a_ff[0, 0] / b_ff[0, 0])
     lam = spla.eigsh(a_ff, k=1, M=b_ff, sigma=0, v0=np.ones(free.size), return_eigenvectors=False)

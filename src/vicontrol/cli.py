@@ -301,7 +301,7 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
 def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
     res = cp.optimize(g)
-    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, mesh, cp.mass)
+    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mass)
     trace = ["iteration,cost,gradient_norm,step,active_set_size"]
     for row in res.trace:
         trace.append(
@@ -322,7 +322,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
             "gradient_norm": res.gradient_norm,
             "iterations": res.iterations,
             "converged": bool(res.converged),
-            "control_norm": l2_norm(res.control, mesh, cp.mass),
+            "control_norm": l2_norm(res.control, cp.mass),
             "control_norm_bound": u0_norm / params.weight,
         },
     )

@@ -116,8 +116,8 @@ class ControlProblem:
         g = interpolate(self.mesh, g)
         if state is None:
             state = self.solve_state(g)
-        state_term = 0.5 * l2_norm(state.u, self.mesh, self.mass) ** 2
-        control_term = 0.5 * self.params.weight * l2_norm(g, self.mesh, self.mass) ** 2
+        state_term = 0.5 * l2_norm(state.u, self.mass) ** 2
+        control_term = 0.5 * self.params.weight * l2_norm(g, self.mass) ** 2
         return CostReport(
             cost=state_term + control_term,
             state_term=state_term,
@@ -158,7 +158,7 @@ class ControlProblem:
         state = self.solve_state(g)
         report = self.cost(g, state)
         grad = self.gradient(g, state)
-        gnorm = l2_norm(grad, self.mesh, self.mass)
+        gnorm = l2_norm(grad, self.mass)
         gtol = 1e-8 * max(1.0, gnorm)
 
         def converged_at(cost, gnorm):  # a cost or gradient past the float range ends the run
@@ -186,7 +186,7 @@ class ControlProblem:
             else:  # no trial step gave the Armijo decrease
                 break
             grad_try = self.gradient(g_try, state_try)
-            gnorm_try = l2_norm(grad_try, self.mesh, self.mass)
+            gnorm_try = l2_norm(grad_try, self.mass)
             converged = converged_at(report_try.cost, gnorm_try)
             if not (converged or report_try.cost < report.cost):
                 stalled = it

@@ -116,11 +116,7 @@ def interpolate(mesh: Mesh, f) -> np.ndarray:
     elif np.ndim(f) == 0:
         values = np.full(mesh.num_vertices, float(f))
     else:
-        values = np.asarray(f, dtype=float)
-        if values.shape != (mesh.num_vertices,):
-            raise ValueError(
-                f"nodal field has shape {values.shape}, expected ({mesh.num_vertices},)"
-            )
+        values = _nodal(mesh, f)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FloatingPointError(
@@ -146,26 +142,6 @@ def _p1(v00, v10, v01, v11, s, t) -> np.ndarray:
         v00 * (1.0 - s) + v10 * (s - t) + v11 * t,
         v00 * (1.0 - t) + v01 * (t - s) + v11 * s,
     )
-
-
-def evaluate_p1(mesh: Mesh, field: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 function with nodal values `field` at arbitrary points.
-
-    Exact point location via the structured grid; points must lie in the
-    closed domain rectangle (clamped to guard against roundoff on edges).
-    """
-    field = _nodal(mesh, field)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x0, y0, x1, y1 = mesh.domain
-    dx = (x1 - x0) / mesh.nx
-    dy = (y1 - y0) / mesh.ny
-    ix = np.clip(((pts[:, 0] - x0) // dx).astype(int), 0, mesh.nx - 1)
-    iy = np.clip(((pts[:, 1] - y0) // dy).astype(int), 0, mesh.ny - 1)
-    s = (pts[:, 0] - x0) / dx - ix  # local coords in [0, 1]
-    t = (pts[:, 1] - y0) / dy - iy
-    stride = mesh.nx + 1
-    k = iy * stride + ix
-    return _p1(field[k], field[k + 1], field[k + stride], field[k + stride + 1], s, t)
 
 
 def _fine_lines(r: int):

@@ -4,8 +4,7 @@ Find u with u = b on the Dirichlet nodes, u >= 0 elsewhere, and
 A u - f complementarity: (A u - f)[i] >= 0 wherever u[i] = 0 and
 (A u - f)[i] = 0 wherever u[i] > 0.
 
-Two iterative solvers (projected SOR and a primal-dual active set method)
-plus a 2^n enumeration oracle for small problems.
+Two iterative solvers: projected SOR and a primal-dual active set method.
 """
 
 from __future__ import annotations
@@ -166,6 +165,11 @@ def solve_pdas(
     is a fixed point of the all-inactive set. The weight of mu is 1: it only
     steers the path, since the reduced system on the final inactive nodes is
     solved exactly by `solve_reduced`.
+
+    The run stops converged at the first state within tolerance whose predicted
+    active set repeats one already solved on: each set is a function of the one
+    before alone, so from a repeat on the sets cycle, and a fixed point, a
+    two-cycle or a longer cycle is each settled once it repeats.
     """
     free = problem.dofs.free_nodes
     dirichlet = problem.dofs.dirichlet_nodes
@@ -181,7 +185,8 @@ def solve_pdas(
     coupled = np.unique(a_d.indices)
     lift = (a_d @ np.full(dirichlet.size, b))[coupled]
     r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
-    older_mask = active_mask = (u < r)[free]
+    active_mask = (u < r)[free]
+    seen = {np.packbits(active_mask).tobytes()}  # every active set solved on so far
     for it in range(1, 101):
         del r  # recomputed after the solve, so not held through it
         inactive = free[~active_mask]
@@ -195,83 +200,15 @@ def solve_pdas(
             u[inactive] = solve_reduced(a, inactive, rhs)
         r = a @ u - f
         new_mask = (u < r)[free]
-        # accept a fixed point, or a two-cycle, of the active set within tolerance
-        settled = np.array_equal(new_mask, active_mask) or np.array_equal(new_mask, older_mask)
-        if settled and (residual := _complementarity_residual(problem, u, r)) <= tol_abs:
+        # accept a repeated active set within tolerance: each set follows from the one
+        # before alone, so a repeat means the iteration cycles from here on
+        key = np.packbits(new_mask).tobytes()
+        if key in seen and (residual := _complementarity_residual(problem, u, r)) <= tol_abs:
             return _finalize(problem, u, it, True, "pdas", tol_abs, residual)
-        older_mask, active_mask = active_mask, new_mask
+        seen.add(key)
+        active_mask = new_mask
     residual = _complementarity_residual(problem, u, r)
     return _finalize(problem, u, 100, False, "pdas", tol_abs, residual)
-
-
-def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
-    """Enumerate every active/inactive partition of the free nodes.
-
-    For each partition the reduced equality system is solved and the KKT sign
-    conditions checked, to 1e-11 relative to max(1, b) and to the load scale;
-    the unique feasible partition gives the solution. Only for problems with
-    at most 16 free nodes.
-    """
-    free = problem.dofs.free_nodes
-    dirichlet = problem.dofs.dirichlet_nodes
-    n = free.size
-    if n > 16:
-        raise ValueError(f"brute force limited to 16 free nodes, got {n}")
-    a = problem.stiffness.tocsr()
-    f = problem.load
-    b = problem.dirichlet_value
-    scale = problem.residual_scale()
-    tol = 1e-11
-
-    # dense free-node reduction; one 2^n sweep over active/inactive partitions
-    a_ff = a[np.ix_(free, free)].toarray()
-    rhs_free = f[free] - a[np.ix_(free, dirichlet)].toarray() @ np.full(dirichlet.size, b)
-    ks = np.arange(n)
-
-    for bits in range(1 << n):
-        active_mask = ((bits >> ks) & 1).astype(bool)
-        inact = ~active_mask
-        u_free = np.zeros(n)
-        if inact.any():
-            try:
-                u_free[inact] = np.linalg.solve(
-                    a_ff[np.ix_(inact, inact)], rhs_free[inact]
-                )
-            except np.linalg.LinAlgError:
-                continue
-        if np.any(u_free < -tol * max(1.0, abs(b))):
-            continue
-        nu = a_ff[active_mask] @ u_free - rhs_free[active_mask]
-        if np.any(nu < -tol * scale):
-            continue
-        u = np.zeros(problem.size)
-        u[dirichlet] = b
-        u[free] = np.maximum(u_free, 0.0)
-        residual = _complementarity_residual(problem, u)
-        return _finalize(problem, u, bits + 1, True, "brute_force", tol, residual)
-    raise SolverError("no KKT-feasible active set found (numerical inconsistency)")
-
-
-def verify_vi(problem: ObstacleProblem, solution: VISolution, probes: list[np.ndarray]) -> float:
-    """Worst value of a(u, v-u) - (f, v-u) over the probe directions.
-
-    Nonnegative (up to solver tolerance) for a valid solution. Probes must be
-    feasible to 1e-9: v >= 0 everywhere, v = b on the Dirichlet nodes.
-    """
-    u = solution.u
-    b = problem.dirichlet_value
-    residual = problem.stiffness @ u - problem.load
-    worst = np.inf
-    for k, v in enumerate(probes):
-        v = np.asarray(v, dtype=float)
-        if v.shape != u.shape:
-            raise ValueError(f"probe {k} has wrong length")
-        if np.any(v < -1e-9):
-            raise ValueError(f"probe {k} violates v >= 0")
-        if np.any(np.abs(v[problem.dofs.dirichlet_nodes] - b) > 1e-9):
-            raise ValueError(f"probe {k} violates v = b on Gamma1")
-        worst = min(worst, float(residual @ (v - u)))
-    return worst
 
 
 def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:

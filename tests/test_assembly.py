@@ -346,21 +346,26 @@ def test_control_load_matches_quadrature_oracle():
 def test_norms_of_constants():
     m = build_rectangle_mesh(2, 2)
     c = np.full(m.num_vertices, -2.5)
-    assert l2_norm(c, m) == pytest.approx(2.5, abs=1e-13)
-    assert h1_norm(c, m) == pytest.approx(2.5, abs=1e-13)
-    assert boundary_l2_norm(c, m) == pytest.approx(2.5 * np.sqrt(3.0), abs=1e-12)
+    a, mh = assemble_stiffness(m), assemble_mass(m)
+    assert l2_norm(c, mh) == pytest.approx(2.5, abs=1e-13)
+    assert h1_norm(c, a, mh) == pytest.approx(2.5, abs=1e-13)
+    assert boundary_l2_norm(c, assemble_boundary_mass(m)) == pytest.approx(
+        2.5 * np.sqrt(3.0), abs=1e-12
+    )
 
 
 def test_h1_norm_of_coordinate_field():
     m = build_rectangle_mesh(1, 1)
     v = interpolate(m, lambda x, y: x)
-    assert h1_norm(v, m) ** 2 == pytest.approx(4.0 / 3.0, abs=1e-13)
+    assert h1_norm(v, assemble_stiffness(m), assemble_mass(m)) ** 2 == pytest.approx(
+        4.0 / 3.0, abs=1e-13
+    )
 
 
 def test_norm_dimension_mismatch():
     m = build_rectangle_mesh(2, 2)
     with pytest.raises(ValueError):
-        l2_norm(np.zeros(5), m)
+        l2_norm(np.zeros(5), assemble_mass(m))
 
 
 def test_parallelogram_law_of_mass_inner_product():
@@ -386,11 +391,10 @@ def test_coercivity_in_unit_interval_and_dense_crosscheck():
         build_rectangle_mesh(2, 2, gamma1_sides=("left",)),
         build_rectangle_mesh(1, 1, gamma1_sides=("left", "bottom")),
     ):
-        lam = coercivity_constant(m)
+        a, mh, free = assemble_stiffness(m), assemble_mass(m), dof_map(m).free_nodes
+        lam = coercivity_constant(a, mh, free)
         assert 0.0 < lam < 1.0
-        a = assemble_stiffness(m).tocsr()
-        mh = assemble_mass(m).toarray()
-        free = dof_map(m).free_nodes
+        a, mh = a.tocsr(), mh.toarray()
         a_ff = a[np.ix_(free, free)].toarray()
         b_ff = a_ff + mh[np.ix_(free, free)]
         w = sla.eigh(a_ff, b_ff, eigvals_only=True)
@@ -401,7 +405,8 @@ def test_coercivity_nonincreasing_under_refinement():
     m = build_rectangle_mesh(2, 2)
     lams = []
     for _ in range(3):
-        lams.append(coercivity_constant(m))
+        a, mh = assemble_stiffness(m), assemble_mass(m)
+        lams.append(coercivity_constant(a, mh, dof_map(m).free_nodes))
         m = refine_uniform(m)
     assert lams[0] >= lams[1] >= lams[2]
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from vicontrol import control
 from vicontrol.assembly import assemble_boundary_flux, assemble_mass, l2_norm
@@ -134,8 +135,8 @@ def test_optimize_large_weight_bound(mesh):
     cp = ControlProblem(mesh, params)
     res = cp.optimize(np.zeros(mesh.num_vertices))
     assert res.converged
-    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mesh, cp.mass)
-    assert l2_norm(res.control, cp.mesh, cp.mass) <= u0_norm / params.weight + 1e-12
+    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mass)
+    assert l2_norm(res.control, cp.mass) <= u0_norm / params.weight + 1e-12
 
 
 def test_optimize_cost_history_monotone(mesh):
@@ -184,20 +185,20 @@ def test_state_parallelogram_identity(mesh):
         u1 = cp.solve_state(g1).u
         u2 = cp.solve_state(g2).u
         u3 = mu * u1 + (1 - mu) * u2
-        lhs = l2_norm(u3, cp.mesh, cp.mass) ** 2
+        lhs = l2_norm(u3, cp.mass) ** 2
         rhs = (
-            mu * l2_norm(u1, cp.mesh, cp.mass) ** 2
-            + (1 - mu) * l2_norm(u2, cp.mesh, cp.mass) ** 2
-            - mu * (1 - mu) * l2_norm(u2 - u1, cp.mesh, cp.mass) ** 2
+            mu * l2_norm(u1, cp.mass) ** 2
+            + (1 - mu) * l2_norm(u2, cp.mass) ** 2
+            - mu * (1 - mu) * l2_norm(u2 - u1, cp.mass) ** 2
         )
         assert abs(lhs - rhs) <= 1e-11
         # same identity for the controls themselves
         g3 = mu * g1 + (1 - mu) * g2
-        lhs_g = l2_norm(g3, cp.mesh, cp.mass) ** 2
+        lhs_g = l2_norm(g3, cp.mass) ** 2
         rhs_g = (
-            mu * l2_norm(g1, cp.mesh, cp.mass) ** 2
-            + (1 - mu) * l2_norm(g2, cp.mesh, cp.mass) ** 2
-            - mu * (1 - mu) * l2_norm(g2 - g1, cp.mesh, cp.mass) ** 2
+            mu * l2_norm(g1, cp.mass) ** 2
+            + (1 - mu) * l2_norm(g2, cp.mass) ** 2
+            - mu * (1 - mu) * l2_norm(g2 - g1, cp.mass) ** 2
         )
         assert abs(lhs_g - rhs_g) <= 1e-11
 
@@ -207,14 +208,14 @@ def test_cost_lower_bound(mesh):
     cp = ControlProblem(mesh, params)
     from vicontrol.assembly import coercivity_constant
 
-    lam = coercivity_constant(mesh, cp.stiffness, cp.mass)
-    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mesh, cp.mass)
+    lam = coercivity_constant(cp.stiffness, cp.mass, cp.dofs.free_nodes)
+    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mass)
     c = u0_norm / lam
     rng = np.random.default_rng(16)
     for _ in range(50):
         g = rng.uniform(-10, 10, mesh.num_vertices)
         report = cp.cost(g)
-        gn = l2_norm(g, cp.mesh, cp.mass)
+        gn = l2_norm(g, cp.mass)
         assert report.cost >= 0.5 * params.weight * gn**2 - c * gn - 1e-9
 
 
@@ -234,11 +235,11 @@ def test_strict_convexity_surrogate(mesh):
         u3 = mu * u1 + (1 - mu) * u2
         g3 = mu * g1 + (1 - mu) * g2
         u4 = cp.solve_state(g3).u
-        if l2_norm(u4, cp.mesh, cp.mass) > l2_norm(u3, cp.mesh, cp.mass):
+        if l2_norm(u4, cp.mass) > l2_norm(u3, cp.mass):
             continue
         checked += 1
         gap = mu * cp.cost(g1, None).cost + (1 - mu) * cp.cost(g2, None).cost - cp.cost(g3, None).cost
-        dg = l2_norm(g2 - g1, cp.mesh, cp.mass)
+        dg = l2_norm(g2 - g1, cp.mass)
         bound = 0.5 * params.weight * mu * (1 - mu) * dg**2
         assert gap >= bound - 1e-9
     assert checked > 0
@@ -323,3 +324,30 @@ def test_control_problem_keeps_only_its_operators():
         tracemalloc.stop()
     assert cp.stiffness.format == cp.mass.format == "dia"
     assert (after - before) / (8 * mesh.num_vertices) <= 14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+    sides=st.sampled_from([("left",), ("top",), ("left", "bottom"), ("left", "right")]),
+    b=st.floats(0.0, 1.0),
+    q=st.floats(-2.0, 2.0),
+    solver=st.sampled_from(["pdas", "psor"]),
+    mu=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_is_monotone_and_convex_in_the_control(nx, ny, sides, b, q, solver, mu, seed):
+    # u_g is the least element of {u : u_F >= 0, u_D = b, (A u - M_H g + F_q)_F >= 0}, and
+    # M_H >= 0 entrywise: so g1 <= g2 gives u1 <= u2, and u is convex in g componentwise
+    mesh = build_rectangle_mesh(nx, ny, gamma1_sides=sides)
+    cp = ControlProblem(mesh, CostParams(1.0, q, b, solver))
+    rng = np.random.default_rng(seed)
+    g1 = rng.uniform(-60.0, 20.0, mesh.num_vertices)
+    g2 = g1 + rng.uniform(0.0, 20.0, mesh.num_vertices)
+    g3 = rng.uniform(-60.0, 20.0, mesh.num_vertices)
+    u1, u2, u3 = (cp.solve_state(g).u for g in (g1, g2, g3))
+    assert np.all(u1 <= u2 + 1e-8 * max(1.0, np.abs(u1).max(), np.abs(u2).max()))
+    combined = mu * u1 + (1.0 - mu) * u3
+    u_mu = cp.solve_state(mu * g1 + (1.0 - mu) * g3).u
+    assert np.all(u_mu <= combined + 1e-8 * max(1.0, np.abs(u_mu).max(), np.abs(combined).max()))

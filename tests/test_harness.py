@@ -30,10 +30,8 @@ def test_nested_prolongation_preserves_norms(base):
     lifted = prolongate(base, field, fine)
     a_c, m_c = assemble_stiffness(base), assemble_mass(base)
     a_f, m_f = assemble_stiffness(fine), assemble_mass(fine)
-    assert l2_norm(lifted, fine, m_f) == pytest.approx(l2_norm(field, base, m_c), abs=1e-12)
-    assert h1_norm(lifted, fine, a_f, m_f) == pytest.approx(
-        h1_norm(field, base, a_c, m_c), abs=1e-12
-    )
+    assert l2_norm(lifted, m_f) == pytest.approx(l2_norm(field, m_c), abs=1e-12)
+    assert h1_norm(lifted, a_f, m_f) == pytest.approx(h1_norm(field, a_c, m_c), abs=1e-12)
 
 
 def test_state_convergence_exact_constant_case(base):
@@ -112,8 +110,8 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
         report = control.ControlProblem(mesh, params).cost(-50.0)
         diff = prolongate(mesh, report.state.u, oracle_cp.mesh) - oracle.state.u
         assert row.cost == report.cost
-        assert row.error_v == h1_norm(diff, oracle_cp.mesh, oracle_cp.stiffness, oracle_cp.mass)
-        assert row.error_h == l2_norm(diff, oracle_cp.mesh, oracle_cp.mass)
+        assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_h == l2_norm(diff, oracle_cp.mass)
     assert oracle.state.active_set.size > 0  # the obstacle is active
     assert warm_oracle_iterations < cold_oracle_iterations
 
@@ -165,8 +163,8 @@ def test_oracle_climb_settles_its_active_set_and_changes_no_bits(monkeypatch):
     for row, (mesh, u, cost) in zip(table.rows, states, strict=True):
         diff = prolongate(mesh, u, oracle_mesh) - oracle_state.u
         assert row.cost == cost
-        assert row.error_v == h1_norm(diff, oracle_mesh, oracle_cp.stiffness, oracle_cp.mass)
-        assert row.error_h == l2_norm(diff, oracle_mesh, oracle_cp.mass)
+        assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_h == l2_norm(diff, oracle_cp.mass)
 
 
 def test_failed_start_names_its_mesh(base, monkeypatch):
@@ -225,9 +223,9 @@ def test_control_convergence_rows_match_cold_optimize_runs(base):
         du = prolongate(mesh, res.state.u, oracle_cp.mesh) - oracle.state.u
         dg = prolongate(mesh, res.control, oracle_cp.mesh) - oracle.control
         assert row.cost == res.cost
-        assert row.error_v == h1_norm(du, oracle_cp.mesh, oracle_cp.stiffness, oracle_cp.mass)
-        assert row.error_h == l2_norm(du, oracle_cp.mesh, oracle_cp.mass)
-        assert row.control_distance == l2_norm(dg, oracle_cp.mesh, oracle_cp.mass)
+        assert row.error_v == h1_norm(du, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_h == l2_norm(du, oracle_cp.mass)
+        assert row.control_distance == l2_norm(dg, oracle_cp.mass)
     hs = [r.h for r in table.rows]
     assert table.rate_h == harness.fit_rate(hs, [r.control_distance for r in table.rows])
 
