@@ -10,7 +10,7 @@ by Armijo backtracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,8 +21,10 @@ from .assembly import (
     dof_map,
     l2_norm,
 )
-from .mesh import SIDES, Mesh, interpolate
+from .mesh import SIDES, Mesh, build_rectangle_mesh, interpolate, prolongate
 from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor, solve_reduced
+
+NESTED_START = 32  # a cold solve with nx, ny even and at least this starts from its half mesh
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,25 @@ class ControlProblem:
 
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:
         """State for control g; raises SolverError, carrying the unconverged
-        solution, when the solver misses params.tol."""
+        solution, when the solver misses params.tol. A cold solve (no warm_start)
+        with nx and ny even and at least NESTED_START starts from the state on the
+        mesh with half the cells per side, prolongated (nested iteration)."""
+        mesh = self.mesh
+        even = mesh.nx % 2 == mesh.ny % 2 == 0
+        if warm_start is None and even and min(mesh.nx, mesh.ny) >= NESTED_START:
+            half = build_rectangle_mesh(mesh.nx // 2, mesh.ny // 2, mesh.domain, mesh.gamma1_sides)
+
+            def inject(v):  # a nodal array's values at the vertices the half mesh keeps
+                if callable(v) or np.ndim(v) == 0:
+                    return v
+                return np.reshape(v, (mesh.ny + 1, mesh.nx + 1))[::2, ::2].ravel()
+
+            params = replace(self.params, flux=inject(self.params.flux))
+            try:  # the half mesh's problem is dropped once its state is taken
+                u = ControlProblem(half, params).solve_state(inject(g)).u
+            except SolverError as exc:
+                raise SolverError(f"start at {half.nx}x{half.ny}: {exc}", exc.solution)
+            warm_start = prolongate(half, u, mesh)
         problem = self.as_obstacle_problem(g)
         solver = solve_psor if self.params.solver == "psor" else solve_pdas
         sol = solver(problem, tol=self.params.tol, u0=warm_start)

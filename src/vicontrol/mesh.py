@@ -76,14 +76,7 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny
     h = float(np.hypot(dx, dy))
-    return Mesh(
-        h=h,
-        level=0,
-        nx=nx,
-        ny=ny,
-        domain=(x0, y0, x1, y1),
-        gamma1_sides=sides,
-    )
+    return Mesh(h=h, level=0, nx=nx, ny=ny, domain=(x0, y0, x1, y1), gamma1_sides=sides)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:

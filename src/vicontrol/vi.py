@@ -129,9 +129,11 @@ def solve_reduced(stiffness: sp.dia_matrix, nodes: np.ndarray, rhs: np.ndarray) 
 def solve_psor(
     problem: ObstacleProblem, tol: float = 1e-10, u0: np.ndarray | None = None
 ) -> VISolution:
-    """Projected SOR sweeps (omega = 1.5) over the free nodes with projection
-    max(., 0), in red-black order: the stiffness couples a colour only to the
-    other one, so each colour's Gauss-Seidel half-sweep is one array update.
+    """Projected SOR sweeps over the free nodes with projection max(., 0), in
+    red-black order: the stiffness couples a colour only to the other one, so
+    each colour's Gauss-Seidel half-sweep is one array update. omega is
+    2 / (1 + sin(pi / n)) with n = max(nx, ny, 2), Young's optimum for the
+    model problem on an n x n grid.
 
     tol is relative to max(1, ||f||_inf). Returns converged=False (never a
     silent wrong answer) if 50 sweeps per vertex do not reach the tolerance.
@@ -145,10 +147,12 @@ def solve_psor(
     tol_abs = tol * problem.residual_scale()
     colours = [(c, a[c], f[c], diag[c]) for c in problem.dofs.colours]
     max_sweeps = 50 * problem.size
+    width = problem.dofs.width  # nx + 1 vertices per grid row, of ny + 1 rows
+    omega = 2.0 / (1.0 + np.sin(np.pi / max(width - 1, problem.size // width - 1, 2)))
 
     for it in range(1, max_sweeps + 1):
         for c, a_c, f_c, diag_c in colours:
-            u[c] = np.maximum(u[c] + 1.5 * (f_c - a_c @ u) / diag_c, 0.0)
+            u[c] = np.maximum(u[c] + omega * (f_c - a_c @ u) / diag_c, 0.0)
         if (residual := _complementarity_residual(problem, u)) <= tol_abs:
             return _finalize(problem, u, it, True, "psor", tol_abs, residual)
     return _finalize(problem, u, max_sweeps, False, "psor", tol_abs, residual)

@@ -271,6 +271,68 @@ def test_solver_nonconvergence_exit_code(tmp_path, capsys):
     assert failures[0].startswith("solver failure during solve: state solve did not converge")
 
 
+PSOR32 = dict(b=1.0, g={"type": "gauss", "amplitude": -40.0, "x0": 0.5, "y0": 0.5, "sigma": 0.2})
+
+
+def test_solve_on_256_cells_per_side_converges(tmp_path):
+    # psor-32's data with PDAS: from u = b it ran past 100 iterations on 256x256 and exited 2
+    cfg = write_config(tmp_path / "cfg.yaml", nx=256, ny=256, out=str(tmp_path / "out"), **PSOR32)
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["converged"] is True and diag["iterations"] <= 10
+
+
+def test_nodal_g_and_q_are_injected_into_the_start(tmp_path, monkeypatch):
+    # the files hold a gauss g and an affine q at the 64x64 vertices; each start gets their
+    # values at its own vertices, and the state is that of the functional specs to the bit
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 65))
+    gauss, affine = cli.make_field_spec(PSOR32["g"]), lambda x, y: 0.5 - 2.0 * x + y
+    np.savetxt(tmp_path / "g.txt", gauss(x, y).ravel())
+    np.savetxt(tmp_path / "q.txt", affine(x, y).ravel())
+    starts = []  # (nx, g, q) of each nested start
+    solve_state = cli.ControlProblem.solve_state
+
+    def recording(self, g, warm_start=None):
+        if self.mesh.nx < 64:
+            starts.append((self.mesh.nx, g, self.params.flux))
+        return solve_state(self, g, warm_start)
+
+    monkeypatch.setattr(cli.ControlProblem, "solve_state", recording)
+    files = {name: {"type": "file", "path": str(tmp_path / f"{name}.txt")} for name in "gq"}
+    specs = {"g": PSOR32["g"], "q": {"type": "affine", "a": 0.5, "bx": -2.0, "cy": 1.0}}
+    for run, fields in (("nodal", files), ("functional", specs)):
+        out = str(tmp_path / run)
+        cfg = write_config(tmp_path / f"{run}.yaml", nx=64, ny=64, b=1.0, out=out, **fields)
+        assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+    assert [nx for nx, _, _ in starts] == [32, 16, 32, 16]
+    for nx, g, q in starts[:2]:
+        xs, ys = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, nx + 1))
+        assert np.array_equal(g, gauss(xs, ys).ravel())
+        assert np.array_equal(q, affine(xs, ys).ravel())
+    assert (tmp_path / "nodal" / "solution.csv").read_bytes() == (
+        tmp_path / "functional" / "solution.csv"
+    ).read_bytes()
+
+
+def test_failed_start_writes_no_state_of_another_mesh(tmp_path, capsys, monkeypatch):
+    # a start's state has the vertices of its own, coarser mesh: solve writes no outputs
+    cfg = write_config(tmp_path / "cfg.yaml", nx=64, ny=64, out=str(tmp_path / "out"), **PSOR32)
+    solve_state = cli.ControlProblem.solve_state
+
+    def failing_at_32(self, g, warm_start=None):
+        sol = solve_state(self, g, warm_start)
+        if self.mesh.nx == 32:
+            raise cli.SolverError("state solve did not converge (residual 1.000e+00)", sol)
+        return sol
+
+    monkeypatch.setattr(cli.ControlProblem, "solve_state", failing_at_32)
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure during solve: start at 32x32: state solve did not converge" in err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+    assert not (tmp_path / "out" / "diagnostics.json").exists()
+
+
 def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
     # the initial state reaches tol 1e-300 but the first trial step's does not
     cfg = write_config(

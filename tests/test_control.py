@@ -10,6 +10,7 @@ from vicontrol import control
 from vicontrol.assembly import assemble_boundary_flux, assemble_mass, l2_norm
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh
+from vicontrol.vi import solve_pdas
 
 
 @pytest.fixture
@@ -324,6 +325,35 @@ def test_control_problem_keeps_only_its_operators():
         tracemalloc.stop()
     assert cp.stiffness.format == cp.mass.format == "dia"
     assert (after - before) / (8 * mesh.num_vertices) <= 14
+
+
+def psor32_control(x, y):  # the psor-32 bench control, with b = 1, q = 0 and Gamma1 = {left}
+    return -40.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.2**2))
+
+
+def test_cold_pdas_takes_at_most_10_iterations_on_every_mesh_of_its_chain(monkeypatch):
+    # from u = b, PDAS took 10, 20, 36 and 70 iterations on 16x16 to 128x128; a cold
+    # 128x128 solve starts from 64x64, which starts from 32x32, which starts from 16x16
+    chain = []  # (unknowns, PDAS iterations) per solve, coarse to fine
+
+    def counting(problem, **kwargs):
+        sol = solve_pdas(problem, **kwargs)
+        chain.append((problem.size, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(control, "solve_pdas", counting)
+    cp = ControlProblem(build_rectangle_mesh(128, 128), CostParams(1.0, 0.0, 1.0))
+    state = cp.solve_state(psor32_control)
+    assert [n for n, _ in chain] == [(k + 1) ** 2 for k in (16, 32, 64, 128)]
+    assert max(it for _, it in chain) <= 10
+    assert state.iterations == chain[-1][1]  # the finest solve's alone
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (64, 32)])
+def test_psor_with_omega_from_the_grid_takes_at_most_400_sweeps(nx, ny):
+    # with omega = 1.5 and from u = b, 64x64 took 1,369 sweeps and 64x32 874
+    cp = ControlProblem(build_rectangle_mesh(nx, ny), CostParams(1.0, 0.0, 1.0, "psor"))
+    assert cp.solve_state(psor32_control).iterations <= 400
 
 
 @settings(max_examples=40, deadline=None)

@@ -78,7 +78,7 @@ def test_sweep_solves_each_problem_once(base, monkeypatch):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base, 10.0, params, levels=3, oracle_extra_levels=2)
     run = harness.run_cost_convergence(table)
-    # three levels (2x2 to 8x8), the 16x16 start the oracle climbs through, and the oracle
+    # three levels (2x2 to 8x8), the 16x16 start of the 32x32 oracle's cold solve, and the oracle
     assert len(sizes) == len(set(sizes)) == 3 + 1 + 1
     assert sizes.count(refine_times(base, 4).num_vertices) == 1
     assert run["oracle_level"] == 4
@@ -98,9 +98,10 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base4, -50.0, params, levels=4, oracle_extra_levels=2)
 
-    # the same problems solved cold, one mesh at a time
+    # the oracle solved truly cold, from u = b with no nested start, and the levels one mesh
+    # at a time
     oracle_cp = control.ControlProblem(refine_times(base4, 5), params)
-    oracle = oracle_cp.cost(-50.0)
+    oracle = oracle_cp.cost(-50.0, counting(oracle_cp.as_obstacle_problem(-50.0)))
     oracle_solves = [it for n, it in iterations if n == oracle_cp.mesh.num_vertices]
     assert len(oracle_solves) == 2
     warm_oracle_iterations, cold_oracle_iterations = oracle_solves
@@ -116,7 +117,7 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
     assert warm_oracle_iterations < cold_oracle_iterations
 
 
-@pytest.mark.parametrize("extra", [1, 2])  # at 2, the oracle climbs through a start
+@pytest.mark.parametrize("extra", [1, 2])  # at 2, the 32x32 oracle starts from its 16x16 mesh
 def test_psor_sweep_agrees_with_pdas_sweep(base, extra):
     def g(x, y):
         return -40.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.08)
@@ -143,7 +144,7 @@ def test_oracle_climb_settles_its_active_set_and_changes_no_bits(monkeypatch):
     base4 = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.05)
     table = harness.run_state_convergence(base4, -50.0, params, levels=4, oracle_extra_levels=3)
-    oracle_mesh = refine_times(base4, 6)  # 256x256, climbed to through 64x64 and 128x128
+    oracle_mesh = refine_times(base4, 6)  # 256x256, started from 128x128, from 64x64, ...
     assert [it for n, it in iterations if n == oracle_mesh.num_vertices] == [1]
     iterations.clear()
 
@@ -180,7 +181,7 @@ def test_failed_start_names_its_mesh(base, monkeypatch):
 
     monkeypatch.setattr(control.ControlProblem, "solve_state", failing_at_32)
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    # levels 2x2 and 4x4; the 64x64 oracle climbs through 8x8, 16x16 and 32x32
+    # levels 2x2 and 4x4; the 64x64 oracle starts from 32x32, which starts from 16x16
     named = r"^level 5 \(64x64\): start at 32x32: state solve"
     with pytest.raises(SolverError, match=named) as info:
         harness.run_state_convergence(base, 10.0, params, levels=2, oracle_extra_levels=4)
