@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import harness
 from .assembly import l2_norm
 from .control import ControlProblem, CostParams
 from .harness import write_json, write_lines
-from .mesh import SIDES, Mesh, build_rectangle_mesh
+from .mesh import Mesh, build_rectangle_mesh
 from .vi import SolverError, dump_solution
 
 EXIT_OK = 0
@@ -85,30 +85,22 @@ class RunConfig:
     sweep_control: bool = False
     out: str = "out"
 
-    def validate(self, command: str) -> tuple[object, object]:
-        """Reject a config that `command` cannot run, naming its keys; return the q and g specs.
-
-        Checks that need a mesh, fields or levels run only once the values they read are valid.
+    def validate(self, command: str) -> tuple[Mesh, CostParams, object]:
+        """Reject a config that `command` cannot run, naming its keys; return its base mesh,
+        CostParams (flux q) and g spec. The mesh and CostParams check their own keys, the first
+        fault of each. Checks that need fields or levels run once the values they read are valid.
         """
         problems = []
-        if self.nx < 1 or self.ny < 1:
-            problems.append(f"nx/ny must be >= 1 (got nx={self.nx}, ny={self.ny})")
-        if not self.gamma1_sides:
-            problems.append("gamma1_sides must be nonempty")
-        for side in self.gamma1_sides:
-            if side not in SIDES:
-                problems.append(f"gamma1_sides contains unknown side {side!r}")
-        x0, y0, x1, y1 = self.domain
-        if not (x1 > x0 and y1 > y0):
-            problems.append(f"domain rectangle is degenerate: {self.domain}")
-        if self.b < 0:
-            problems.append(f"b must be >= 0 (got b={self.b})")
-        if self.M <= 0:
-            problems.append(f"M must be > 0 (got M={self.M})")
-        if self.solver not in ("psor", "pdas"):
-            problems.append(f"solver must be psor or pdas (got {self.solver!r})")
-        if self.tol <= 0:
-            problems.append(f"tol must be > 0 (got tol={self.tol})")
+        try:
+            mesh = build_rectangle_mesh(self.nx, self.ny, self.domain, self.gamma1_sides)
+        except ValueError as exc:
+            problems.append(str(exc))
+        except OverflowError as exc:  # an nx or ny past the float range, which h is computed in
+            problems.append(f"nx/ny: {exc}")
+        try:
+            params = CostParams(self.M, dirichlet=self.b, solver=self.solver, tol=self.tol)
+        except ValueError as exc:
+            problems.append(str(exc))
         if min(self.levels, self.optimize_levels, self.oracle_extra_levels) < 1:
             problems.append("levels, optimize_levels and oracle_extra_levels must be >= 1")
         if self.trials < 1:
@@ -141,7 +133,7 @@ class RunConfig:
 
         # parse q and g once, and bound |q| and |g| over the domain and the controls a scan draws
         specs, sup = {}, {"q": 0.0, "g": 0.0, "amplitude": self.amplitude}
-        vertices = (self.nx + 1) * (self.ny + 1)
+        vertices, (x0, y0, x1, y1) = mesh.num_vertices, self.domain
         for name in ("q", "g"):
             try:
                 spec = specs[name] = make_field_spec(getattr(self, name))
@@ -186,7 +178,7 @@ class RunConfig:
             problems.append("domain, g, M: the control term M/2 ||g||^2 of the cost overflows")
         if problems:
             raise ConfigError("; ".join(problems))
-        return specs["q"], specs["g"]
+        return mesh, replace(params, flux=specs["q"]), specs["g"]
 
 
 def make_field_spec(spec):
@@ -233,8 +225,8 @@ def make_field_spec(spec):
 
 def load_config(
     path: str | None, overrides: dict, command: str
-) -> tuple[RunConfig, object, object]:
-    """The config for `command`, with its q and g specs; raises ConfigError naming a bad key."""
+) -> tuple[RunConfig, Mesh, CostParams, object]:
+    """The config for `command`, its base mesh, CostParams and g; ConfigError names a bad key."""
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -302,15 +294,10 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
     cp = ControlProblem(mesh, params)
     res = cp.optimize(g)
     u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mass)
-    trace = ["iteration,cost,gradient_norm,step,active_set_size"]
-    for row in res.trace:
-        trace.append(
-            f"{row['iteration']},{row['cost']!r},{row['gradient_norm']!r},"
-            f"{row['step']!r},{row['active_set_size']}"
-        )
-    write_lines(out / "trace.csv", trace)
+    header = "iteration,cost,gradient_norm,step,active_set_size"
+    write_lines(out / "trace.csv", header, map(dict.values, res.trace))
     # the bytes np.savetxt writes, formatted from Python floats
-    write_lines(out / "control.txt", ["%.18e" % v for v in res.control.tolist()])
+    write_lines(out / "control.txt", None, ["%.18e" % v for v in res.control.tolist()])
     dump_solution(mesh, res.state, out / "state.csv")
     report = cp.cost(res.control, res.state)
     write_json(
@@ -350,11 +337,9 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
 def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     table = harness.run_state_convergence(mesh, g, params, cfg.levels, cfg.oracle_extra_levels)
     cost_run = harness.run_cost_convergence(table)
-    write_lines(out / "state_convergence.csv", table.csv_lines())
-    cost_lines = ["level,h,cost,gap"]
-    for r in cost_run["rows"]:
-        cost_lines.append(f"{r['level']},{r['h']!r},{r['cost']!r},{r['gap']!r}")
-    write_lines(out / "cost_convergence.csv", cost_lines)
+    write_lines(out / "state_convergence.csv", table.header, map(astuple, table.rows))
+    cost_rows = map(dict.values, cost_run["rows"])
+    write_lines(out / "cost_convergence.csv", "level,h,cost,gap", cost_rows)
 
     checks = _sweep_assertions(table, cost_run)
     summary = {
@@ -374,7 +359,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
         ctable = harness.run_control_convergence(
             mesh, params, cfg.optimize_levels, cfg.oracle_extra_levels
         )
-        write_lines(out / "control_convergence.csv", ctable.csv_lines())
+        write_lines(out / "control_convergence.csv", ctable.header, map(astuple, ctable.rows))
         dists = [r.control_distance for r in ctable.rows]
         nonmono = sum(dists[k + 1] >= dists[k] for k in range(len(dists) - 1))
         ctrl_checks = {
@@ -394,7 +379,8 @@ def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet
     records, summary = harness.run_open_problem_scan(
         mesh, params, cfg.trials, cfg.mu_grid, cfg.seed, cfg.amplitude
     )
-    write_lines(out / "scan.csv", harness.scan_csv_lines(records))
+    header = "trial,mu,pointwise_margin,nonnegativity_margin,norm_margin,violation"
+    write_lines(out / "scan.csv", header, map(astuple, records))
     summary["experiment"] = "open_problem_scan"
     write_json(out / "summary.json", summary)
     if not quiet:
@@ -428,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key in ("out", "seed", "levels", "solver")}
     try:
-        cfg, q, g = load_config(args.config, overrides, args.command)
+        cfg, mesh, params, g = load_config(args.config, overrides, args.command)
         out = _prepare_out(cfg)  # the first write: load_config has run every check
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -439,8 +425,6 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "scan": cmd_scan,
     }[args.command]
-    mesh = build_rectangle_mesh(cfg.nx, cfg.ny, cfg.domain, cfg.gamma1_sides)
-    params = CostParams(weight=cfg.M, flux=q, dirichlet=cfg.b, solver=cfg.solver, tol=cfg.tol)
     try:
         return handler(cfg, out, mesh, params, g, args.quiet)
     except SolverError as exc:

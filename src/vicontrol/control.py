@@ -40,13 +40,13 @@ class CostParams:
 
     def __post_init__(self):
         if not self.weight > 0:
-            raise ValueError(f"cost weight M must be > 0, got {self.weight}")
+            raise ValueError(f"cost weight M must be > 0 (got M={self.weight})")
         if self.dirichlet < 0:
-            raise ValueError(f"dirichlet value must be >= 0, got {self.dirichlet}")
+            raise ValueError(f"Dirichlet value b must be >= 0 (got b={self.dirichlet})")
         if self.solver not in ("pdas", "psor"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+            raise ValueError(f"solver must be psor or pdas (got {self.solver!r})")
         if not self.tol > 0:
-            raise ValueError(f"solver tolerance must be > 0, got {self.tol}")
+            raise ValueError(f"solver tolerance tol must be > 0 (got tol={self.tol})")
 
 
 @dataclass

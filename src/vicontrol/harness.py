@@ -39,14 +39,7 @@ class ConvergenceTable:
     rate_h: float = float("nan")
     oracle_level: int = -1
     oracle_cost: float = float("nan")
-
-    def csv_lines(self) -> list[str]:
-        lines = ["level,h,error_V,error_H,cost,control_distance"]
-        for r in self.rows:
-            lines.append(
-                f"{r.level},{r.h!r},{r.error_v!r},{r.error_h!r},{r.cost!r},{r.control_distance!r}"
-            )
-        return lines
+    header = "level,h,error_V,error_H,cost,control_distance"  # a CSV row is astuple(row)
 
 
 @dataclass
@@ -85,9 +78,9 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
     base_mesh, its levels-1 uniform refinements and the oracle mesh,
     oracle_extra_levels above the finest, each get one ControlProblem, solved
     coarse to fine by solve(cp) -> (nodal state, nodal control or None, cost).
-    A SolverError is raised again naming its level. Rows hold distances to the
-    oracle on the oracle mesh, the reference names it "<oracle> oracle", and
-    rate_h is fitted to the row column named rate_h.
+    A SolverError, or an error or cost past the float range, is raised naming its
+    level. Rows hold distances to the oracle on the oracle mesh, the reference
+    names it "<oracle> oracle", and rate_h is fitted to the row column named rate_h.
     """
     if levels < 1 or oracle_extra_levels < 1:
         raise ValueError("levels and oracle_extra_levels must be >= 1")
@@ -114,6 +107,9 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
         du = prolongate(mesh, u, oracle_mesh) - oracle_u
         dg = None if g is None else prolongate(mesh, g, oracle_mesh) - oracle_g
         error_v, error_h = h1_norm(du, a_o, m_o, with_l2=True)
+        if not np.isfinite([error_v, error_h, cost, oracle_cost]).all():  # not control_distance
+            level = f"level {mesh.level} ({mesh.nx}x{mesh.ny})"
+            raise SolverError(f"{level}: its error or cost, or the oracle's, left the float range")
         table.rows.append(
             ConvergenceRow(
                 level=mesh.level,
@@ -299,17 +295,16 @@ def run_open_problem_scan(
     return records, summary
 
 
-def scan_csv_lines(records: list[OpenProblemRecord]) -> list[str]:
-    lines = ["trial,mu,pointwise_margin,nonnegativity_margin,norm_margin,violation"]
-    for r in records:
-        lines.append(
-            f"{r.trial},{r.mu!r},{r.pointwise_margin!r},{r.nonnegativity_margin!r},"
-            f"{r.norm_margin!r},{int(r.violation)}"
-        )
-    return lines
+def _cell(value) -> str:
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(int(value))
 
 
-def write_lines(path, lines: list[str]) -> None:
+def write_lines(path, header: str | None, rows) -> None:
+    """Write a table: the header line, if any, then one line per row. A row of cells is joined
+    by commas, a float written as its repr and an int or bool as an integer; a str row is a
+    line already formatted, and is written as it is."""
+    lines = [] if header is None else [header]
+    lines += [row if isinstance(row, str) else ",".join(map(_cell, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

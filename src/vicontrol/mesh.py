@@ -62,16 +62,16 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     it must be nonempty (the problem requires meas(Gamma1) > 0).
     """
     if nx < 1 or ny < 1:
-        raise ValueError(f"grid must have nx, ny >= 1, got nx={nx}, ny={ny}")
+        raise ValueError(f"nx/ny must be >= 1 (got nx={nx}, ny={ny})")
     sides = frozenset(gamma1_sides)
     if not sides:
         raise ValueError("gamma1_sides must be nonempty (meas(Gamma1) > 0 required)")
     unknown = sides - set(SIDES)
     if unknown:
-        raise ValueError(f"unknown sides {sorted(unknown)}; expected subset of {tuple(SIDES)}")
+        raise ValueError(f"gamma1_sides: unknown sides {sorted(unknown)}, expected {tuple(SIDES)}")
     x0, y0, x1, y1 = map(float, domain)
     if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"degenerate domain {domain}")
+        raise ValueError(f"domain {domain} is degenerate: it needs x1 > x0 and y1 > y0")
 
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny

@@ -406,6 +406,19 @@ def test_scan_whose_norms_overflow_names_the_stage(tmp_path, capsys):
     assert re.search(r"during scan: trial 0, mu=0.1: .* overflow", capsys.readouterr().err)
 
 
+def test_sweep_whose_numbers_overflow_names_the_level(tmp_path, capsys):
+    # every input fits the float range, but the state term 1/2 ||u||^2 of the cost does not
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0, 0, 1.0e100, 1.0e100], nx=4, ny=4, b=0.0, g=1.0,
+        levels=2, oracle_extra_levels=1, out=str(out),
+    )
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["--config", cfg, "--quiet", "sweep"]) == 2
+    assert re.search(r"during sweep: level 0 \(4x4\): .* float range", capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == ["config.yaml"]  # no table, no summary.json
+
+
 @pytest.mark.parametrize("command", ["optimize", "sweep", "scan"])
 def test_tolerance_reaches_every_command(tmp_path, capsys, command):
     cfg = write_config(
@@ -475,6 +488,16 @@ def test_flux_from_file_matches_constant(tmp_path):
         # 1x1 refined 20 times is 2**20 cells a side, 2**40 cells in all
         ("sweep", "oracle_extra_levels", {"nx": 1, "ny": 1, "levels": 1, "value": 20}),
         ("scan", "amplitude", -1.0),  # uniform draws on [1, -1]
+        # the range rules of build_rectangle_mesh and CostParams, which name their keys
+        ("solve", "nx", 0),
+        ("solve", "gamma1_sides", []),
+        ("solve", "gamma1_sides", ["middle"]),
+        ("solve", "domain", [1, 0, 0, 1]),
+        ("solve", "b", -1.0),
+        ("solve", "M", 0.0),
+        ("solve", "solver", "cg"),
+        ("solve", "tol", -1.0),
+        pytest.param("solve", "nx", 10**400, id="solve-nx-10**400"),  # h needs nx as a float
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):
@@ -489,8 +512,19 @@ def test_config_fault_names_key(tmp_path, capsys, command, key, value):
         tmp_path / "cfg.yaml", **{"out": str(tmp_path / "out"), key: value}, **extra
     )
     assert cli.main(["--config", cfg, "--quiet", command]) == 1
-    assert key in capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
     assert not (tmp_path / "out" / "config.yaml").exists()  # rejected before any write
+
+
+def test_faults_in_three_groups_name_every_key(tmp_path, capsys):
+    # the mesh's, CostParams' and the run's own keys are checked together
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.yaml", nx=0, M=-1.0, seed=-1, out=str(out))
+    assert cli.main(["--config", cfg, "--quiet", "scan"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert all(re.search(rf"\b{key}\b", err) for key in ("nx", "M", "seed"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("g", [1.0e308, {"type": "gauss", "amplitude": -1.0e308}])
@@ -566,7 +600,7 @@ def test_load_config_raises_only_config_error(tmp_path_factory, data, command):
     path = tmp_path_factory.getbasetemp() / "hypothesis.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     try:
-        cfg, q, g = cli.load_config(str(path), {}, command)
+        cfg, mesh, params, g = cli.load_config(str(path), {}, command)
     except cli.ConfigError:
         return
     assert isinstance(cfg, cli.RunConfig)
