@@ -154,12 +154,14 @@ class RunConfig:
                 problems.append(f"{name}: {exc}")
         g_key = max(("g", "amplitude"), key=sup.get)
         dx, dy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
-        cell = (dx * dx, dy * dy, dx * dy)  # areas and stiffness entries need these normal
+        narrowest = min(dx, dy) / 2**depth  # on the finest cells: dx*dx, dy*dy, dx*dy normal
         # grid lines as build_rectangle_mesh places them on the finest mesh, which hold those of
         # the coarser meshes: line k of n cells is line k * 2**d of n * 2**d, as fl(k*step) scales
         axes = ((x0, x1, self.nx << depth), (y0, y1, self.ny << depth))
-        if not all(sys.float_info.min <= v <= sys.float_info.max for v in cell):
-            problems.append(f"domain/nx/ny: cells of {dx!r} x {dy!r} leave the float range")
+        # assembly forms dx*dx + dy*dy, which bounds 2 dx dy, on the base cells, the largest
+        if not (dx * dx + dy * dy <= sys.float_info.max and narrowest**2 >= sys.float_info.min):
+            cells = f"{dx!r} x {dy!r} cells" + (f", refined {depth} times," if depth else "")
+            problems.append(f"domain/nx/ny: {cells} leave the float range")
         elif not all(np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0) for lo, hi, n in axes):
             problems.append(
                 f"domain/nx/ny: grid lines of the {self.nx}x{self.ny} mesh refined {depth} times "
@@ -261,12 +263,11 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
-    failure = None
     try:
-        sol = cp.solve_state(g)
+        sol, failure = cp.solve_state(g), None
     except SolverError as exc:
-        if exc.solution is None or exc.solution.u.shape != (mesh.num_vertices,):
-            raise  # no state, or a failed start's on a coarser mesh: none to write as this one's
+        if exc.solution is None:
+            raise  # no state to write
         sol, failure = exc.solution, exc
     dump_solution(mesh, sol, out / "solution.csv")
     write_json(
@@ -293,7 +294,7 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
 def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     cp = ControlProblem(mesh, params)
     res = cp.optimize(g)
-    u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mass)
+    u0 = SolverError.staged("the g = 0 state of control_norm_bound", cp.solve_state, 0.0).u
     header = "iteration,cost,gradient_norm,step,active_set_size"
     write_lines(out / "trace.csv", header, map(dict.values, res.trace))
     # the bytes np.savetxt writes, formatted from Python floats
@@ -310,7 +311,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
             "iterations": res.iterations,
             "converged": bool(res.converged),
             "control_norm": l2_norm(res.control, cp.mass),
-            "control_norm_bound": u0_norm / params.weight,
+            "control_norm_bound": l2_norm(u0, cp.mass) / params.weight,
         },
     )
     if not res.converged:  # the outputs above are written first

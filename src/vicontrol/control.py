@@ -10,6 +10,7 @@ by Armijo backtracking.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,10 +103,10 @@ class ControlProblem:
         )
 
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:
-        """State for control g; raises SolverError, carrying the unconverged
-        solution, when the solver misses params.tol. A cold solve (no warm_start)
-        with nx and ny even and at least NESTED_START starts from the state on the
-        mesh with half the cells per side, prolongated (nested iteration)."""
+        """State for control g; raises SolverError, carrying the unconverged solution, when
+        the solver misses params.tol. A cold solve (no warm_start) with nx and ny even and at
+        least NESTED_START starts from the state on the mesh with half the cells per side,
+        prolongated (nested iteration), unless that solve raises SolverError: a mere guess."""
         mesh = self.mesh
         even = mesh.nx % 2 == mesh.ny % 2 == 0
         if warm_start is None and even and min(mesh.nx, mesh.ny) >= NESTED_START:
@@ -117,11 +118,9 @@ class ControlProblem:
                 return np.reshape(v, (mesh.ny + 1, mesh.nx + 1))[::2, ::2].ravel()
 
             params = replace(self.params, flux=inject(self.params.flux))
-            try:  # the half mesh's problem is dropped once its state is taken
+            with suppress(SolverError):  # the half mesh's problem is dropped once u is taken
                 u = ControlProblem(half, params).solve_state(inject(g)).u
-            except SolverError as exc:
-                raise SolverError(f"start at {half.nx}x{half.ny}: {exc}", exc.solution)
-            warm_start = prolongate(half, u, mesh)
+                warm_start = prolongate(half, u, mesh)
         problem = self.as_obstacle_problem(g)
         solver = solve_psor if self.params.solver == "psor" else solve_pdas
         sol = solver(problem, tol=self.params.tol, u0=warm_start)
@@ -175,9 +174,10 @@ class ControlProblem:
         norm that is not finite.
         """
         g = interpolate(self.mesh, g0).copy()
-        state = self.solve_state(g)
+        staged = SolverError.staged  # a failed solve's reason names its stage and iteration
+        state = staged("first state solve", self.solve_state, g)
         report = self.cost(g, state)
-        grad = self.gradient(g, state)
+        grad = staged("adjoint at iteration 0", self.gradient, g, state)
         gnorm = l2_norm(grad, self.mass)
         gtol = 1e-8 * max(1.0, gnorm)
 
@@ -198,14 +198,15 @@ class ControlProblem:
             step = alpha
             for _ in range(60):
                 g_try = g - step * grad
-                state_try = self.solve_state(g_try, warm_start=state.u)
+                trial = f"line-search trial at iteration {it}"
+                state_try = staged(trial, self.solve_state, g_try, state.u)
                 report_try = self.cost(g_try, state_try)
                 if report_try.cost <= report.cost - 1e-4 * step * gnorm**2:
                     break
                 step *= 0.5
             else:  # no trial step gave the Armijo decrease
                 break
-            grad_try = self.gradient(g_try, state_try)
+            grad_try = staged(f"adjoint at iteration {it}", self.gradient, g_try, state_try)
             gnorm_try = l2_norm(grad_try, self.mass)
             converged = converged_at(report_try.cost, gnorm_try)
             if not (converged or report_try.cost < report.cost):

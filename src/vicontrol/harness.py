@@ -91,10 +91,8 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
     solved = []  # (mesh, state, control, cost) per level, coarse to fine, then the oracle
     for mesh in meshes:
         cp = ControlProblem(mesh, params)
-        try:
-            solved.append((mesh, *solve(cp)))
-        except SolverError as exc:
-            raise SolverError(f"level {mesh.level} ({mesh.nx}x{mesh.ny}): {exc}", exc.solution)
+        level = f"level {mesh.level} ({mesh.nx}x{mesh.ny})"
+        solved.append((mesh, *SolverError.staged(level, solve, cp)))
     oracle_mesh, oracle_u, oracle_g, oracle_cost = solved.pop()
     a_o, m_o = cp.stiffness, cp.mass  # the oracle's, solved last
 

@@ -27,6 +27,14 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.solution = solution
 
+    @classmethod
+    def staged(cls, stage: str, step, *args):
+        """step(*args), where a SolverError's reason is prefixed with the stage that failed."""
+        try:
+            return step(*args)
+        except cls as exc:
+            raise cls(f"{stage}: {exc}", exc.solution)
+
 
 @dataclass(frozen=True)
 class ObstacleProblem:
@@ -46,8 +54,8 @@ class ObstacleProblem:
     def __post_init__(self):
         if self.dirichlet_value < 0:
             raise ValueError(f"dirichlet value must be >= 0, got {self.dirichlet_value}")
-        if not np.all(np.isfinite(self.load)):
-            raise ValueError("load vector contains non-finite entries")
+        if not np.all(np.isfinite(self.load)):  # a load past the float range, as in a solve
+            raise SolverError("load vector contains non-finite entries")
 
     @property
     def size(self) -> int:
@@ -175,19 +183,10 @@ def solve_pdas(
     before alone, so from a repeat on the sets cycle, and a fixed point, a
     two-cycle or a longer cycle is each settled once it repeats.
     """
-    free = problem.dofs.free_nodes
-    dirichlet = problem.dofs.dirichlet_nodes
-    a = problem.stiffness
-    f = problem.load
-    b = problem.dirichlet_value
+    free, dirichlet = problem.dofs.free_nodes, problem.dofs.dirichlet_nodes
+    a, f, b = problem.stiffness, problem.load, problem.dirichlet_value
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
-
-    # the Dirichlet lift A[:, D] b, kept on the rows that couple to Gamma1 and taken on
-    # each iteration's inactive ones; a row sums over ascending columns from +0.0, as in CSR
-    a_d = _block(a, np.arange(problem.size), dirichlet)
-    coupled = np.unique(a_d.indices)
-    lift = (a_d @ np.full(dirichlet.size, b))[coupled]
     r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
     active_mask = (u < r)[free]
     seen = {np.packbits(active_mask).tobytes()}  # every active set solved on so far
@@ -196,11 +195,9 @@ def solve_pdas(
         inactive = free[~active_mask]
         u = np.zeros(problem.size)
         u[dirichlet] = b
-        if inactive.size:
-            rhs = f[inactive]
-            at = np.searchsorted(inactive, coupled).clip(max=inactive.size - 1)
-            hit = inactive[at] == coupled
-            rhs[at[hit]] -= lift[hit]
+        if inactive.size:  # f less the Dirichlet lift A[I, D] b; each row sums from +0.0 over
+            # its ascending columns, as in CSR, so a row with no Gamma1 neighbour subtracts +0.0
+            rhs = f[inactive] - _block(a, inactive, dirichlet) @ np.full(dirichlet.size, b)
             u[inactive] = solve_reduced(a, inactive, rhs)
         r = a @ u - f
         new_mask = (u < r)[free]

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 from vicontrol import cli
+from vicontrol.vi import solve_pdas
 
 
 def write_config(path, **kwargs):
@@ -314,23 +315,64 @@ def test_nodal_g_and_q_are_injected_into_the_start(tmp_path, monkeypatch):
     ).read_bytes()
 
 
-def test_failed_start_writes_no_state_of_another_mesh(tmp_path, capsys, monkeypatch):
-    # a start's state has the vertices of its own, coarser mesh: solve writes no outputs
+def _cold_solve(cfg, path):
+    """The diagnostics of a PDAS solve of `cfg` from u = b, with no nested start, whose
+    solution.csv it writes to `path`."""
+    _, mesh, params, g = cli.load_config(cfg, {}, "solve")
+    sol = solve_pdas(cli.ControlProblem(mesh, params).as_obstacle_problem(g))
+    cli.dump_solution(mesh, sol, path)
+    return {"converged": sol.converged, "iterations": sol.iterations}
+
+
+def test_failed_start_writes_no_state_of_another_mesh(tmp_path, monkeypatch):
+    # a start only guesses PDAS's first active set: when the 32x32 start fails, the 64x64
+    # solve starts from u = b and writes the state and diagnostics of that cold solve
     cfg = write_config(tmp_path / "cfg.yaml", nx=64, ny=64, out=str(tmp_path / "out"), **PSOR32)
     solve_state = cli.ControlProblem.solve_state
+    failed = []
 
     def failing_at_32(self, g, warm_start=None):
         sol = solve_state(self, g, warm_start)
         if self.mesh.nx == 32:
+            failed.append(sol)
             raise cli.SolverError("state solve did not converge (residual 1.000e+00)", sol)
         return sol
 
     monkeypatch.setattr(cli.ControlProblem, "solve_state", failing_at_32)
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+    assert len(failed) == 1
+    cold = _cold_solve(cfg, tmp_path / "cold.csv")
+    assert cold["iterations"] > 10  # from u = b, where the start gave 4 or 5
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert {key: diag[key] for key in cold} == cold
+    out = tmp_path / "out" / "solution.csv"
+    assert out.read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
+def test_start_whose_cells_overflow_is_skipped(tmp_path):
+    # the 64x64 cells of 9e153 fit the float range, but the 32x32 start's stiffness of
+    # 1.8e154 cells overflows and its load is not finite: the solve starts from u = b
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0, 0, 5.76e155, 5.76e155], nx=64, ny=64, b=0.05, g=0.0,
+        amplitude=0.0, out=str(tmp_path / "out"),
+    )
+    with pytest.warns(RuntimeWarning):  # the start's overflow, which numpy reports
+        assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+    assert _cold_solve(cfg, tmp_path / "cold.csv")["converged"]
+    out = tmp_path / "out" / "solution.csv"
+    assert out.read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
+def test_start_whose_load_overflows_is_skipped(tmp_path, capsys):
+    # inner rows of M_H sum to dx*dy = 1 on the 64x64 unit cells and 4 on the 32x32 start's,
+    # so only the start's load M_H g overflows; the 64x64 solve's reduced system then does
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0, 0, 64, 64], nx=64, ny=64, b=0.05, g=1.0e308,
+        out=str(tmp_path / "out"),
+    )
     assert cli.main(["--config", cfg, "--quiet", "solve"]) == 2
     err = capsys.readouterr().err
-    assert "solver failure during solve: start at 32x32: state solve did not converge" in err
-    assert not (tmp_path / "out" / "solution.csv").exists()
-    assert not (tmp_path / "out" / "diagnostics.json").exists()
+    assert err == "solver failure during solve: solution of the reduced system is not finite\n"
 
 
 def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
@@ -354,6 +396,41 @@ def test_failed_trial_solve_ends_optimize(tmp_path, capsys, monkeypatch):
     assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 2
     assert outcomes == ["converged", "failed"]  # no retry after the failed trial
     assert "during optimize" in capsys.readouterr().err
+
+
+def test_optimize_names_the_stage_that_failed(tmp_path, capsys):
+    # the state of about 1e199 fits the float range, but the adjoint's load M_H u does not
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0, 0, 1.0e100, 1.0e100], nx=4, ny=4, b=0.0, g=1.0,
+        out=str(tmp_path / "out"),
+    )
+    with pytest.warns(RuntimeWarning):  # the state term of the cost, which overflows first
+        assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 2
+    assert capsys.readouterr().err == (
+        "solver failure during optimize: adjoint at iteration 0: "
+        "right-hand side of the reduced system is not finite\n"
+    )
+
+
+def test_failed_bound_solve_names_its_stage(tmp_path, capsys, monkeypatch):
+    # the optimizer converges, but the g = 0 solve behind control_norm_bound fails
+    cfg = write_config(tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, g=-50.0, out=str(tmp_path / "o"))
+    solve_state = cli.ControlProblem.solve_state
+    cold = []
+
+    def failing_at_zero(self, g, warm_start=None):
+        # the optimizer's first solve is cold and its trials warm; the bound's is cold again
+        cold.append(warm_start is None)
+        if sum(cold) == 2:
+            raise cli.SolverError("state solve did not converge (residual 1.000e+00)")
+        return solve_state(self, g, warm_start)
+
+    monkeypatch.setattr(cli.ControlProblem, "solve_state", failing_at_zero)
+    assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 2
+    assert capsys.readouterr().err == (
+        "solver failure during optimize: the g = 0 state of control_norm_bound: "
+        "state solve did not converge (residual 1.000e+00)\n"
+    )
 
 
 def test_overflowing_reduced_rhs_is_named(tmp_path, capsys):
@@ -498,6 +575,16 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("solve", "solver", "cg"),
         ("solve", "tol", -1.0),
         pytest.param("solve", "nx", 10**400, id="solve-nx-10**400"),  # h needs nx as a float
+        # cells of 1e154: dx*dx is 1e308, but dx*dx + dy*dy and the 2 dx dy of assembly overflow
+        ("solve", "domain", {
+            "nx": 16, "ny": 16, "b": 0.05, "g": 0.0, "amplitude": 0.0,
+            "value": [0, 0, 1.6e155, 1.6e155],
+        }),
+        # 1.5e-154 cells are normal when squared, but the oracle's, refined 10 times, are not
+        ("sweep", "domain", {
+            "nx": 1, "ny": 1, "b": 0.05, "g": -50.0, "levels": 3, "oracle_extra_levels": 8,
+            "value": [0, 0, 1.5e-154, 1.5e-154],
+        }),
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):

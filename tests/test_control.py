@@ -10,7 +10,7 @@ from vicontrol import control
 from vicontrol.assembly import assemble_boundary_flux, assemble_mass, l2_norm
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh
-from vicontrol.vi import solve_pdas
+from vicontrol.vi import SolverError, solve_pdas
 
 
 @pytest.fixture
@@ -129,6 +129,33 @@ def test_optimize_rejects_a_cost_past_the_float_range():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(control.SolverError, match="is not finite"):
             cp.optimize(-50.0)
+
+
+@pytest.mark.parametrize(
+    "method, fails_at, stage",
+    [
+        ("solve_state", 0, "first state solve"),
+        ("gradient", 0, "adjoint at iteration 0"),
+        ("solve_state", 1, "line-search trial at iteration 1"),
+        ("gradient", 2, "adjoint at iteration 2"),
+    ],
+)
+def test_optimize_names_the_stage_that_failed(mesh, monkeypatch, method, fails_at, stage):
+    # the call numbered fails_at (from 0) of `method` fails; the reason names its stage and
+    # the exception still carries the failed solve's state
+    real, calls, state = getattr(ControlProblem, method), [], object()
+
+    def failing(self, *args, **kwargs):
+        calls.append(method)
+        if len(calls) > fails_at:
+            raise SolverError("state solve did not converge (residual 1.000e+00)", state)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ControlProblem, method, failing)
+    cp = ControlProblem(mesh, CostParams(weight=1.0, flux=0.0, dirichlet=0.05))
+    with pytest.raises(SolverError, match=rf"^{stage}: state solve did not") as info:
+        cp.optimize(-50.0)
+    assert info.value.solution is state
 
 
 def test_optimize_large_weight_bound(mesh):

@@ -170,7 +170,9 @@ def test_oracle_climb_settles_its_active_set_and_changes_no_bits(monkeypatch):
         assert row.error_h == l2_norm(diff, oracle_cp.mass)
 
 
-def test_failed_start_names_its_mesh(base, monkeypatch):
+def test_failed_start_is_skipped(base, monkeypatch):
+    # a start only guesses PDAS's first active set: the 64x64 oracle, whose 32x32 start
+    # fails, is solved from u = b, and its row values are those of that cold solve
     solve_state = control.ControlProblem.solve_state
     failed = []
 
@@ -182,12 +184,19 @@ def test_failed_start_names_its_mesh(base, monkeypatch):
         return sol
 
     monkeypatch.setattr(control.ControlProblem, "solve_state", failing_at_32)
-    params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=0.05)
     # levels 2x2 and 4x4; the 64x64 oracle starts from 32x32, which starts from 16x16
-    named = r"^level 5 \(64x64\): start at 32x32: state solve"
-    with pytest.raises(SolverError, match=named) as info:
-        harness.run_state_convergence(base, 10.0, params, levels=2, oracle_extra_levels=4)
-    assert info.value.solution is failed[0]
+    table = harness.run_state_convergence(base, -50.0, params, levels=2, oracle_extra_levels=4)
+    assert len(failed) == 1
+    levels = [base, refine_times(base, 1)]
+    oracle_cp = control.ControlProblem(refine_times(levels[-1], 4), params)
+    cold = solve_pdas(oracle_cp.as_obstacle_problem(-50.0))
+    assert cold.converged and cold.active_set.size > 0  # the obstacle is active
+    assert table.oracle_cost == oracle_cp.cost(-50.0, cold).cost
+    for row, mesh in zip(table.rows, levels, strict=True):
+        u = control.ControlProblem(mesh, params).solve_state(-50.0).u
+        diff = prolongate(mesh, u, oracle_cp.mesh) - cold.u
+        assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
 
 
 def test_failed_solve_names_its_level(base):

@@ -118,10 +118,10 @@ def test_pdas_peak_memory_of_a_warm_start():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # in full-length vectors of 8 n bytes: about 4.5 with the Dirichlet lift kept on
-    # the rows that couple to Gamma1 and A u - f released before each solve, 5.4
-    # with both held over all n rows, 8.4 when u + mu < 0 and the final residual
-    # formed their own temporaries
+    # in full-length vectors of 8 n bytes: about 4.4 with the Dirichlet lift cut from
+    # each iteration's inactive block and A u - f released before each solve, 5.4
+    # with the lift and A u - f both held over all n rows, 8.4 when u + mu < 0 and
+    # the final residual formed their own temporaries
     assert (peak - before) / (8 * fine.num_vertices) <= 5.0
 
 
@@ -139,18 +139,20 @@ _LIFT_MESHES = [
 
 @pytest.mark.parametrize("nx, ny, sides, domain", _LIFT_MESHES)
 def test_lift_rows_and_values_match_the_csr_computation(nx, ny, sides, domain):
-    # solve_pdas's Dirichlet lift, from the block A[:, D], against the CSR rows of A
-    # that couple to Gamma1 and the CSR product A[coupled, D] b, to the bit
+    # solve_pdas's Dirichlet lift on an inactive set I, from the block A[I, D], against
+    # the CSR product A[I][:, D] b, to the bit: on all free nodes, on a random half of
+    # them, and on the free nodes next to Gamma1 alone or with none of them
     mesh = build_rectangle_mesh(nx, ny, domain, sides)
-    a, dirichlet = assemble_stiffness(mesh), dof_map(mesh).dirichlet_nodes
-    b = np.full(dirichlet.size, np.random.default_rng(nx).uniform(0.02, 1.0))
-    a_d = _block(a, np.arange(mesh.num_vertices), dirichlet)
-    coupled = np.unique(a_d.indices)
-    lift = (a_d @ b)[coupled]
+    a, dofs = assemble_stiffness(mesh), dof_map(mesh)
+    free, dirichlet = dofs.free_nodes, dofs.dirichlet_nodes
+    rng = np.random.default_rng(nx)
+    b = np.full(dirichlet.size, rng.uniform(0.02, 1.0))
     csr = a.tocsr()
-    ref_coupled = np.unique(csr[dirichlet].indices)
-    assert np.array_equal(coupled, ref_coupled)
-    assert lift.tobytes() == (csr[ref_coupled][:, dirichlet] @ b).tobytes()
+    coupled = np.isin(free, csr[dirichlet].indices)
+    half = np.sort(rng.choice(free, free.size // 2 + 1, replace=False))
+    for inactive in (free, half, free[coupled], free[~coupled]):
+        lift = _block(a, inactive, dirichlet) @ b
+        assert lift.tobytes() == (csr[inactive][:, dirichlet] @ b).tobytes()
 
 
 def test_solve_reduced_peak_memory_on_the_full_free_set():
