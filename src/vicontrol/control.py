@@ -106,7 +106,8 @@ class ControlProblem:
         """State for control g; raises SolverError, carrying the unconverged solution, when
         the solver misses params.tol. A cold solve (no warm_start) with nx and ny even and at
         least NESTED_START starts from the state on the mesh with half the cells per side,
-        prolongated (nested iteration), unless that solve raises SolverError: a mere guess."""
+        prolongated (nested iteration), unless that solve raises SolverError: a mere guess, so
+        numpy's floating-point warnings are silenced while it is made."""
         mesh = self.mesh
         even = mesh.nx % 2 == mesh.ny % 2 == 0
         if warm_start is None and even and min(mesh.nx, mesh.ny) >= NESTED_START:
@@ -118,7 +119,7 @@ class ControlProblem:
                 return np.reshape(v, (mesh.ny + 1, mesh.nx + 1))[::2, ::2].ravel()
 
             params = replace(self.params, flux=inject(self.params.flux))
-            with suppress(SolverError):  # the half mesh's problem is dropped once u is taken
+            with suppress(SolverError), np.errstate(all="ignore"):  # u taken, the half mesh goes
                 u = ControlProblem(half, params).solve_state(inject(g)).u
                 warm_start = prolongate(half, u, mesh)
         problem = self.as_obstacle_problem(g)

@@ -70,9 +70,11 @@ def test_03_lipschitz_stability_bound():
     """lambda_h ||u2-u1||_V <= ||g2-g1||_H over 50 random control pairs."""
     mesh = build_rectangle_mesh(8, 8, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    res = harness.run_lipschitz_check(mesh, params, trials=50, seed=0)
-    assert res["worst_ratio"] <= 1.0 + 1e-9
-    report("lipschitz-stability", f"worst ratio {res['worst_ratio']:.4f}")
+    # the scan solves the pairs it draws; its mu grid draws nothing
+    _, summary = harness.run_open_problem_scan(mesh, params, trials=50, mu_grid=(0.5,), seed=0)
+    worst = summary["worst_lipschitz_ratio"]
+    assert worst <= 1.0 + 1e-9
+    report("lipschitz-stability", f"worst ratio {worst:.4f}")
 
 
 def test_04_parallelogram_identities():
@@ -238,8 +240,5 @@ def test_11_experiments_reproducible():
     r1, s1 = harness.run_open_problem_scan(mesh, params, trials=10, seed=42)
     r2, s2 = harness.run_open_problem_scan(mesh, params, trials=10, seed=42)
     assert repr(list(map(astuple, r1))) == repr(list(map(astuple, r2)))
-    assert s1 == s2
-    l1 = harness.run_lipschitz_check(mesh, params, trials=10, seed=42)
-    l2 = harness.run_lipschitz_check(mesh, params, trials=10, seed=42)
-    assert l1 == l2
+    assert s1 == s2  # the worst Lipschitz ratio included
     report("reproducibility")

@@ -174,6 +174,7 @@ def test_scan_always_reports(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["records"] == 15
     assert "violations" in summary and "implication_holds" in summary
+    assert 0 < summary["worst_lipschitz_ratio"] <= 1.0 + 1e-9
     scan_csv = (out / "scan.csv").read_text().splitlines()
     assert len(scan_csv) == 16
 
@@ -356,8 +357,9 @@ def test_start_whose_cells_overflow_is_skipped(tmp_path):
         tmp_path / "cfg.yaml", domain=[0, 0, 5.76e155, 5.76e155], nx=64, ny=64, b=0.05, g=0.0,
         amplitude=0.0, out=str(tmp_path / "out"),
     )
-    with pytest.warns(RuntimeWarning):  # the start's overflow, which numpy reports
-        assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+    # the start's overflow is a failed guess: numpy's warnings are silenced with it, and the
+    # suite's error::RuntimeWarning filter fails the test on any that is printed
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
     assert _cold_solve(cfg, tmp_path / "cold.csv")["converged"]
     out = tmp_path / "out" / "solution.csv"
     assert out.read_bytes() == (tmp_path / "cold.csv").read_bytes()
@@ -473,14 +475,51 @@ def test_overflowing_cost_names_keys(tmp_path, capsys):
 
 
 def test_scan_whose_norms_overflow_names_the_stage(tmp_path, capsys):
-    # 2 * amplitude fits the float range, but the states' H-norms do not
+    # 2 * amplitude fits the float range, but the states' H-norms do not; the scan stops in
+    # the first trial's mu loop, before that pair's Lipschitz ratio
+    for amplitude in (1.0e307, 1.0e160):
+        cfg = write_config(
+            tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, trials=2, amplitude=amplitude,
+            out=str(tmp_path / f"out{amplitude}"),
+        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cli.main(["--config", cfg, "--quiet", "scan"]) == 2
+        assert capsys.readouterr().err == (
+            "solver failure during scan: trial 0, mu=0.1: the H-norms of u3 and u4 overflow\n"
+        )
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1.0e-200, 1.0e155])
+def test_scan_whose_pairs_count_no_lipschitz_ratio(tmp_path, capsys, amplitude):
+    # every pair is 0 apart in H (amplitude 0, or 1e-200 where the distance underflows), or
+    # its distance overflows beside a finite V-distance (1e155): no ratio, and no warning
+    out = tmp_path / "out"
     cfg = write_config(
-        tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, trials=2, amplitude=1.0e307,
-        out=str(tmp_path / "out"),
+        tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, trials=2, amplitude=amplitude, out=str(out)
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert cli.main(["--config", cfg, "--quiet", "scan"]) == 2
-    assert re.search(r"during scan: trial 0, mu=0.1: .* overflow", capsys.readouterr().err)
+    assert cli.main(["--config", cfg, "--quiet", "scan"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["lambda_h"] > 0
+    assert summary["worst_lipschitz_ratio"] is None
+
+
+def test_scan_without_free_nodes_reports_no_lipschitz_ratio(tmp_path, capsys):
+    import jsonschema
+
+    # Gamma1 covers every vertex of one cell: there is no lambda_h, and no pair counts
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=1, ny=1, gamma1_sides=["left", "right", "bottom", "top"],
+        b=0.05, trials=2, out=str(out),
+    )
+    assert cli.main(["--config", cfg, "--quiet", "scan"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["lambda_h"] is None
+    assert summary["worst_lipschitz_ratio"] is None
+    schema = Path(__file__).resolve().parents[1] / "docs" / "summary.schema.json"
+    jsonschema.validate(summary, json.loads(schema.read_text()))
 
 
 def test_sweep_whose_numbers_overflow_names_the_level(tmp_path, capsys):
