@@ -87,6 +87,21 @@ def _assemble(mesh: Mesh, local) -> sp.dia_matrix:
     return sp.dia_matrix((diagonals, shifts), shape=(mesh.num_vertices,) * 2)
 
 
+def block(a: sp.dia_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+    """A[rows, cols] in CSC (both ascending), for A or M_H as `_assemble` stores them: data[d][j]
+    is A[j - k_d, j] by ascending offset k_d, 0 off the grid, so in reverse they give a column's
+    rows in order. Zeros drop as in tocsr(): the arrays are A.tocsr()[rows][:, cols].tocsc()'s."""
+    at = np.full(a.shape[0], -1, dtype=np.int32)  # each row's position in `rows`, or -1
+    at[rows] = np.arange(rows.size, dtype=np.int32)
+    index = np.stack([at.take(cols - k, mode="clip") for k in a.offsets[::-1]])  # int32
+    values = a.data[::-1, cols]
+    keep = (index >= 0) & (values != 0)
+    indptr = np.pad(np.cumsum(np.count_nonzero(keep, axis=0), dtype=np.int32), (1, 0))
+    keep = np.ascontiguousarray(keep.T)  # column by column
+    data, values = values.T[keep], None  # released before the row indices are gathered
+    return sp.csc_matrix((data, index.T[keep], indptr), shape=(rows.size, cols.size))
+
+
 def _stiffness(dx, dy, area):
     """grad(phi_i) . grad(phi_j) |T| on a right triangle with legs dx, dy, over
     q = 4|T|: dy^2/q at the far end of the dx leg, dx^2/q at that of the dy leg
@@ -110,13 +125,13 @@ def _mass(dx, dy, area):
 def assemble_stiffness(mesh: Mesh) -> sp.dia_matrix:
     """Global stiffness A[i,j] = integral of grad(phi_i) . grad(phi_j), in DIA as M_H is:
     the 5-point stencil, as the hypotenuse couplings of right triangles with axis-parallel
-    legs are 0. Only applied, or cut into the CSC blocks that SuperLU factors."""
+    legs are 0. Only applied, or cut by `block` into the CSC blocks that SuperLU factors."""
     return _assemble(mesh, _stiffness)
 
 
 def assemble_mass(mesh: Mesh) -> sp.dia_matrix:
-    """Global mass M[i,j] = integral of phi_i * phi_j over the domain, in DIA,
-    as it is only applied: its product sums each row in CSR's order from +0.0,
+    """Global mass M[i,j] = integral of phi_i * phi_j over the domain, in DIA, as it is
+    only applied or cut by `block`: its product sums each row in CSR's order from +0.0,
     so the off-grid zeros it adds change no bit of a finite result."""
     return _assemble(mesh, _mass)
 
@@ -180,8 +195,8 @@ def coercivity_constant(a: sp.dia_matrix, m: sp.dia_matrix, free: np.ndarray) ->
     """
     if free.size == 0:
         raise ValueError("no free nodes: Gamma1 covers every vertex")
-    a_ff = a.tocsr()[np.ix_(free, free)].tocsc()
-    b_ff = (a_ff + m.tocsr()[np.ix_(free, free)]).tocsc()
+    a_ff = block(a, free, free)
+    b_ff = a_ff + block(m, free, free)
     if free.size == 1:  # eigsh needs k < N
         return float(a_ff[0, 0] / b_ff[0, 0])
     lam = spla.eigsh(a_ff, k=1, M=b_ff, sigma=0, v0=np.ones(free.size), return_eigenvectors=False)

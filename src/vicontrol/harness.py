@@ -214,8 +214,8 @@ def run_open_problem_scan(
     if not amplitude >= 0:
         raise ValueError(f"amplitude must be >= 0 (got amplitude={amplitude})")
     mu_grid = [float(mu) for mu in mu_grid]
-    if any(mu < 0 or mu > 1 for mu in mu_grid):
-        raise ValueError("mu_grid values must lie in [0, 1]")
+    if not mu_grid or not all(0.0 <= mu <= 1.0 for mu in mu_grid):  # NaN fails the comparison
+        raise ValueError(f"mu_grid must be nonempty, with values in [0, 1] (got {mu_grid})")
     rng = np.random.default_rng(seed)
     cp = ControlProblem(mesh, params)
     a, m, free = cp.stiffness, cp.mass, cp.dofs.free_nodes

@@ -160,11 +160,11 @@ def prolongate(coarse: Mesh, field: np.ndarray, fine: Mesh) -> np.ndarray:
         raise ValueError("fine mesh is not a nested refinement of the coarse mesh")
     v = _nodal(coarse, field).reshape(coarse.ny + 1, coarse.nx + 1)
 
-    def block(rows, columns):
+    def patch(rows, columns):
         (down, up, t), (left, right, s) = rows, columns
         corners = (v[y, x][:, None, :, None] for y in (down, up) for x in (left, right))
         cells = _p1(*corners, s, t[:, None, None])
         return cells.reshape(cells.shape[0] * t.size, -1)
 
     rows, columns = _fine_lines(fine.ny // coarse.ny), _fine_lines(fine.nx // coarse.nx)
-    return np.block([[block(r, c) for c in columns] for r in rows]).ravel()
+    return np.block([[patch(r, c) for c in columns] for r in rows]).ravel()

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import DofMap
+from .assembly import DofMap, block
 from .mesh import Mesh
 
 
@@ -107,28 +107,13 @@ def _finalize(problem, u, iters, converged, method, tol_abs, residual) -> VISolu
     return VISolution(u, active, residual, iters, converged, method)
 
 
-def _block(a: sp.dia_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
-    """A[rows, cols] in CSC (both ascending) from the diagonals, stored by ascending offset k_d
-    and 0 off the grid: data[d][j] is A[j - k_d, j], so in reverse they give a column's rows in
-    order. Zeros drop as in tocsr(): the arrays are those of A.tocsr()[rows][:, cols].tocsc()."""
-    at = np.full(a.shape[0], -1, dtype=np.int32)  # each row's position in `rows`, or -1
-    at[rows] = np.arange(rows.size, dtype=np.int32)
-    index = np.stack([at.take(cols - k, mode="clip") for k in a.offsets[::-1]])  # int32
-    values = a.data[::-1, cols]
-    keep = (index >= 0) & (values != 0)
-    indptr = np.pad(np.cumsum(np.count_nonzero(keep, axis=0), dtype=np.int32), (1, 0))
-    keep = np.ascontiguousarray(keep.T)  # column by column
-    data, values = values.T[keep], None  # released before the row indices are gathered
-    return sp.csc_matrix((data, index.T[keep], indptr), shape=(rows.size, cols.size))
-
-
 def solve_reduced(stiffness: sp.dia_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A[nodes, nodes] x = rhs (a PDAS step or an adjoint) by sparse LU on the CSC
     block of the ascending nodes, ordered by minimum degree on A + A^T since A is SPD on free
     nodes. SuperLU signals overflow or singularity by non-finite values: those raise SolverError."""
     if not np.all(np.isfinite(rhs)):
         raise SolverError("right-hand side of the reduced system is not finite")
-    x = spla.spsolve(_block(stiffness, nodes, nodes), rhs, permc_spec="MMD_AT_PLUS_A")
+    x = spla.spsolve(block(stiffness, nodes, nodes), rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(x)):
         raise SolverError("solution of the reduced system is not finite")
     return x
@@ -146,14 +131,15 @@ def solve_psor(
     tol is relative to max(1, ||f||_inf). Returns converged=False (never a
     silent wrong answer) if 50 sweeps per vertex do not reach the tolerance.
     """
-    a = problem.stiffness.tocsr()
+    a = problem.stiffness
     diag = a.diagonal()
     if np.any(diag[problem.dofs.free_nodes] <= 0):
         raise SolverError("nonpositive diagonal on a free node")
     f = problem.load
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
-    colours = [(c, a[c], f[c], diag[c]) for c in problem.dofs.colours]
+    every = np.arange(problem.size)
+    colours = [(c, block(a, c, every), f[c], diag[c]) for c in problem.dofs.colours]
     max_sweeps = 50 * problem.size
     width = problem.dofs.width  # nx + 1 vertices per grid row, of ny + 1 rows
     omega = 2.0 / (1.0 + np.sin(np.pi / max(width - 1, problem.size // width - 1, 2)))
@@ -195,10 +181,8 @@ def solve_pdas(
         inactive = free[~active_mask]
         u = np.zeros(problem.size)
         u[dirichlet] = b
-        if inactive.size:  # f less the Dirichlet lift A[I, D] b; each row sums from +0.0 over
-            # its ascending columns, as in CSR, so a row with no Gamma1 neighbour subtracts +0.0
-            rhs = f[inactive] - _block(a, inactive, dirichlet) @ np.full(dirichlet.size, b)
-            u[inactive] = solve_reduced(a, inactive, rhs)
+        if inactive.size:  # f less the lift A[I, D] b = (A u)[I], summed from +0.0 by column
+            u[inactive] = solve_reduced(a, inactive, f[inactive] - (a @ u)[inactive])
         r = a @ u - f
         new_mask = (u < r)[free]
         # accept a repeated active set within tolerance: each set follows from the one

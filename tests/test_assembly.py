@@ -11,6 +11,7 @@ from vicontrol.assembly import (
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
+    block,
     boundary_l2_norm,
     coercivity_constant,
     dof_map,
@@ -18,7 +19,6 @@ from vicontrol.assembly import (
     l2_norm,
 )
 from vicontrol.mesh import build_rectangle_mesh, interpolate, refine_uniform
-from vicontrol.vi import _block
 
 
 def test_degenerate_triangle_rejected():
@@ -150,24 +150,30 @@ _UNDERFLOW = ((4, 4), (0.0, 0.0, 1e-163, 1.0), ("left",))  # dx^2 is 0: A stores
 
 @pytest.mark.parametrize("shape, domain, sides", [*_MESHES, _UNDERFLOW])
 def test_block_from_the_diagonals_is_the_csr_slice(shape, domain, sides):
-    # array for array, dtypes included, so SuperLU gets the same input and bits
+    # array for array, dtypes included, so SuperLU, eigsh and PSOR get the same input and bits
     mesh = build_rectangle_mesh(*shape, domain, sides)
-    a = assemble_stiffness(mesh)
-    csr = a.tocsr()
+    a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
     dofs, every = dof_map(mesh), np.arange(mesh.num_vertices)
     free = dofs.free_nodes
     rng = np.random.default_rng(mesh.num_vertices)
     subsets = [free, free[:1], free[-1:], every]
     sizes = rng.integers(1, free.size + 1, 3) if free.size else []  # Gamma1 may be every vertex
     subsets += [np.sort(rng.choice(free, size, replace=False)) for size in sizes]
-    # square blocks, and the Dirichlet columns on every row that PDAS lifts with
-    for rows, cols in [*((nodes, nodes) for nodes in subsets), (every, dofs.dirichlet_nodes)]:
-        got, ref = _block(a, rows, cols), csr[np.ix_(rows, cols)].tocsc()
+    # square blocks of A and of M_H, the Dirichlet columns on every row, and each
+    # colour's rows on every column, which PSOR sweeps with
+    cuts = [(matrix, nodes, nodes) for matrix in (a, mh) for nodes in subsets]
+    cuts += [(a, every, dofs.dirichlet_nodes), *((a, c, every) for c in dofs.colours)]
+    for matrix, rows, cols in cuts:
+        got, ref = block(matrix, rows, cols), matrix.tocsr()[np.ix_(rows, cols)].tocsc()
         assert got.format == ref.format == "csc" and got.shape == ref.shape
         assert got.indices.dtype == got.indptr.dtype == np.int32
         for name in ("data", "indices", "indptr"):
             x, y = getattr(got, name), getattr(ref, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    # a colour's half-sweep product equals that of its CSR rows, to the bit
+    v = rng.standard_normal(mesh.num_vertices)
+    for c in dofs.colours:
+        assert (block(a, c, every) @ v).tobytes() == (a.tocsr()[c] @ v).tobytes()
 
 
 def test_assembly_keeps_no_memory_alive():

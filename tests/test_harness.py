@@ -361,10 +361,15 @@ def test_write_lines_writes_floats_as_repr_and_ints_as_integers(tmp_path):
     assert path.read_bytes() == b"1.000000000000000056e-01\n1.0\n"
 
 
-def test_scan_rejects_bad_mu():
+@pytest.mark.parametrize(
+    "mu_grid", [(1.5,), (), (float("nan"),)], ids=["above_one", "empty", "nan"]
+)
+def test_scan_rejects_bad_mu(mu_grid, monkeypatch):
+    # before any solve: not after every pair is solved (an empty grid), nor in interpolate (NaN)
+    monkeypatch.setattr(harness.ControlProblem, "solve_state", lambda *_: pytest.fail("solved"))
     mesh = build_rectangle_mesh(2, 2)
-    with pytest.raises(ValueError):
-        harness.run_open_problem_scan(mesh, CostParams(weight=1.0), trials=1, mu_grid=(1.5,))
+    with pytest.raises(ValueError, match="mu_grid"):
+        harness.run_open_problem_scan(mesh, CostParams(weight=1.0), trials=1, mu_grid=mu_grid)
 
 
 def test_experiments_deterministic_given_seed():

@@ -17,7 +17,7 @@ from vicontrol.assembly import (
 )
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_uniform
-from vicontrol.vi import _block, dump_solution, solve_pdas, solve_psor, solve_reduced
+from vicontrol.vi import dump_solution, solve_pdas, solve_psor, solve_reduced
 
 
 def obstacle_problem(mesh, g, q, b):
@@ -118,16 +118,16 @@ def test_pdas_peak_memory_of_a_warm_start():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # in full-length vectors of 8 n bytes: about 4.4 with the Dirichlet lift cut from
-    # each iteration's inactive block and A u - f released before each solve, 5.4
+    # in full-length vectors of 8 n bytes: about 4.4 with the Dirichlet lift read from
+    # each iteration's A u and A u - f released before each solve, 5.4
     # with the lift and A u - f both held over all n rows, 8.4 when u + mu < 0 and
     # the final residual formed their own temporaries
     assert (peak - before) / (8 * fine.num_vertices) <= 5.0
 
 
 # the GRIDS on the unit square, larger and stretched ones, and a grid whose vertical
-# couplings underflow to -0.0 (dx = 2.5e-164, so dx^2 is 0), which A stores and a
-# block drops
+# couplings underflow to -0.0 (dx = 2.5e-164, so dx^2 is 0), which A stores and the
+# CSR product drops
 _LIFT_MESHES = [
     *((nx, ny, sides, (0.0, 0.0, 1.0, 1.0)) for nx, ny, sides in GRIDS),
     (13, 4, ("left", "top"), (-1.3, 0.2, 0.7, 3.1)),
@@ -139,20 +139,24 @@ _LIFT_MESHES = [
 
 @pytest.mark.parametrize("nx, ny, sides, domain", _LIFT_MESHES)
 def test_lift_rows_and_values_match_the_csr_computation(nx, ny, sides, domain):
-    # solve_pdas's Dirichlet lift on an inactive set I, from the block A[I, D], against
-    # the CSR product A[I][:, D] b, to the bit: on all free nodes, on a random half of
-    # them, and on the free nodes next to Gamma1 alone or with none of them
+    # solve_pdas's Dirichlet lift on an inactive set I, the rows I of A u with u = b on
+    # Gamma1 and 0 elsewhere, against the CSR product A[I][:, D] b, to the bit: on all free
+    # nodes, on a random half of them, and on the free nodes next to Gamma1 alone or with
+    # none of them; b = 0 makes every product a signed zero
     mesh = build_rectangle_mesh(nx, ny, domain, sides)
     a, dofs = assemble_stiffness(mesh), dof_map(mesh)
     free, dirichlet = dofs.free_nodes, dofs.dirichlet_nodes
     rng = np.random.default_rng(nx)
-    b = np.full(dirichlet.size, rng.uniform(0.02, 1.0))
+    drawn = rng.uniform(0.02, 1.0)
     csr = a.tocsr()
     coupled = np.isin(free, csr[dirichlet].indices)
     half = np.sort(rng.choice(free, free.size // 2 + 1, replace=False))
-    for inactive in (free, half, free[coupled], free[~coupled]):
-        lift = _block(a, inactive, dirichlet) @ b
-        assert lift.tobytes() == (csr[inactive][:, dirichlet] @ b).tobytes()
+    for b in (drawn, 0.0):
+        u = np.zeros(mesh.num_vertices)
+        u[dirichlet] = b
+        for inactive in (free, half, free[coupled], free[~coupled]):
+            lift = csr[inactive][:, dirichlet] @ np.full(dirichlet.size, b)
+            assert (a @ u)[inactive].tobytes() == lift.tobytes()
 
 
 def test_solve_reduced_peak_memory_on_the_full_free_set():
