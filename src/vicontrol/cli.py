@@ -394,8 +394,16 @@ def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet
     return EXIT_OK
 
 
+COMMANDS = {"solve": cmd_solve, "optimize": cmd_optimize, "sweep": cmd_sweep, "scan": cmd_scan}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag is an invalid configuration: exit 1, write nothing
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vicontrol",
         description="Obstacle-problem state solves, optimal control, and convergence experiments",
     )
@@ -403,31 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="experiment seed (overrides config)")
     parser.add_argument("--levels", type=int, help="refinement levels (overrides config)")
-    parser.add_argument("--solver", choices=("psor", "pdas"), help="state solver")
+    parser.add_argument("--solver", help="state solver: psor or pdas (overrides config)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.add_argument(
-        "command", choices=("solve", "optimize", "sweep", "scan"), help="workflow to run"
-    )
+    parser.add_argument("command", choices=COMMANDS, help="workflow to run")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in ("out", "seed", "levels", "solver")}
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {key: getattr(args, key) for key in ("out", "seed", "levels", "solver")}
         cfg, mesh, params, g = load_config(args.config, overrides, args.command)
         out = _prepare_out(cfg)  # the first write: load_config has run every check
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    handler = {
-        "solve": cmd_solve,
-        "optimize": cmd_optimize,
-        "sweep": cmd_sweep,
-        "scan": cmd_scan,
-    }[args.command]
     try:
-        return handler(cfg, out, mesh, params, g, args.quiet)
+        return COMMANDS[args.command](cfg, out, mesh, params, g, args.quiet)
     except SolverError as exc:
         print(f"solver failure during {args.command}: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

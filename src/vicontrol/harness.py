@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from .assembly import coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
@@ -206,8 +207,8 @@ def run_open_problem_scan(
     Each pair also gives the stability ratio lambda_h ||u2 - u1||_V / ||g2 - g1||_H,
     which the bound lambda_h ||u2 - u1||_V <= ||g2 - g1||_H keeps at most 1; the
     summary reports lambda_h and the worst ratio, null when no pair counts. A pair
-    counts when its H-distance is positive and finite and its ratio finite; none
-    does when Gamma1 covers every vertex, where lambda_h is null.
+    counts when its H-distance is positive and finite and its ratio finite; none does
+    when lambda_h is null: Gamma1 covers every vertex, or ARPACK fails or gives <= 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got trials={trials})")
@@ -219,18 +220,23 @@ def run_open_problem_scan(
     rng = np.random.default_rng(seed)
     cp = ControlProblem(mesh, params)
     a, m, free = cp.stiffness, cp.mass, cp.dofs.free_nodes
-    lam = coercivity_constant(a, m, free) if free.size else None
+    try:  # ARPACK fails, or returns lambda_h <= 0, on cells too thin for its arithmetic
+        lam = coercivity_constant(a, m, free) if free.size else None
+    except ArpackError:
+        lam = None
+    lam = lam if lam is None or lam > 0 else None  # a Rayleigh quotient of SPD forms is > 0
     tol = 1e-9
 
     records, ratios = [], []
     for trial in range(trials):
         g1 = random_control(mesh, rng, amplitude)
         g2 = random_control(mesh, rng, amplitude)
-        u1 = cp.solve_state(g1).u
-        u2 = cp.solve_state(g2).u
+        u1 = SolverError.staged(f"trial {trial}", cp.solve_state, g1).u
+        u2 = SolverError.staged(f"trial {trial}", cp.solve_state, g2).u
         for mu in mu_grid:
             u3 = mu * u1 + (1.0 - mu) * u2
-            u4 = cp.solve_state(mu * g1 + (1.0 - mu) * g2).u
+            g4 = mu * g1 + (1.0 - mu) * g2
+            u4 = SolverError.staged(f"trial {trial}, mu={mu!r}", cp.solve_state, g4).u
             pointwise = float(np.min(u3 - u4))
             nonneg = float(np.min(u4))
             norm_margin = l2_norm(u3, m) - l2_norm(u4, m)

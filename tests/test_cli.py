@@ -67,6 +67,32 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.main(["--config", cfg, "solve"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--solver", "cg", "solve"], "solver"),
+        (["--seed", "abc", "solve"], "--seed"),
+        (["--bogus", "solve"], "--bogus"),
+        ([], "command"),
+    ],
+)
+def test_bad_flag_is_an_invalid_configuration(tmp_path, capsys, flags, name):
+    # an unknown solver, a seed that is no integer, an unknown flag or a missing command
+    # exits 1, the code of an invalid configuration, names what is wrong and writes nothing
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "--quiet", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and name in err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "{solve,optimize,sweep,scan}" in capsys.readouterr().out
+
+
 def test_missing_config_file(tmp_path):
     assert cli.main(["--config", str(tmp_path / "nope.yaml"), "solve"]) == 1
 
@@ -520,6 +546,23 @@ def test_scan_without_free_nodes_reports_no_lipschitz_ratio(tmp_path, capsys):
     assert summary["worst_lipschitz_ratio"] is None
     schema = Path(__file__).resolve().parents[1] / "docs" / "summary.schema.json"
     jsonschema.validate(summary, json.loads(schema.read_text()))
+
+
+@pytest.mark.parametrize("width", [1.0e-100, 8.0e-150])
+def test_scan_on_cells_too_thin_for_arpack_reports_no_lambda(tmp_path, capfd, width):
+    # on 1e-100-wide cells ARPACK raises ArpackError, and on 8e-150-wide ones it returns
+    # lambda_h < 0: the scan runs and reports neither lambda_h nor a ratio
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0.0, 0.0, width, 1.0], nx=8, ny=8,
+        gamma1_sides=["bottom"], b=0.05, trials=2, out=str(out),
+    )
+    assert cli.main(["--config", cfg, "--quiet", "scan"]) == 0
+    assert "Traceback" not in capfd.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["lambda_h"] is None
+    assert summary["worst_lipschitz_ratio"] is None
+    assert summary["violations"] == 0
 
 
 def test_sweep_whose_numbers_overflow_names_the_level(tmp_path, capsys):

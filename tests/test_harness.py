@@ -293,6 +293,32 @@ def test_lipschitz_check_bound():
     assert summary["worst_lipschitz_ratio"] == max(ratios)
 
 
+@pytest.mark.parametrize(
+    "failing_call, stage",
+    [(0, "trial 0"), (1, "trial 0"), (2, "trial 0, mu=0.5"), (4, "trial 1"), (5, "trial 1, mu=0.5")],
+)
+def test_scan_names_the_state_solve_that_failed(monkeypatch, failing_call, stage):
+    # each trial solves u1, u2 and then u4 for each mu: the chosen call fails, and the
+    # error names its trial (and mu for u4) and keeps the unconverged state
+    solve_state = control.ControlProblem.solve_state
+    calls = []
+
+    def failing(cp, g, warm_start=None):
+        sol = solve_state(cp, g, warm_start)
+        calls.append(sol)
+        if len(calls) - 1 == failing_call:
+            raise SolverError("state solve did not converge (residual 1.000e+00)", sol)
+        return sol
+
+    monkeypatch.setattr(control.ControlProblem, "solve_state", failing)
+    mesh = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=0.05)
+    with pytest.raises(SolverError) as info:
+        harness.run_open_problem_scan(mesh, params, trials=2, mu_grid=(0.5,))
+    assert str(info.value) == f"{stage}: state solve did not converge (residual 1.000e+00)"
+    assert info.value.solution is calls[-1]
+
+
 def test_lipschitz_check_validates_trials():
     mesh = build_rectangle_mesh(2, 2)
     with pytest.raises(ValueError, match="trials"):

@@ -16,6 +16,7 @@ from vicontrol.assembly import (
     l2_norm,
 )
 from vicontrol.control import ControlProblem, CostParams
+from vicontrol.harness import random_control
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_uniform
 from vicontrol.vi import dump_solution, solve_pdas, solve_psor, solve_reduced
 
@@ -261,17 +262,42 @@ def test_kkt_invariants_of_solution(mesh3):
             assert abs(r[i]) <= tol
 
 
+OPTIMAL_CONTROL_8X8 = Path(__file__).parent / "data" / "optimal_control_8x8.txt"
+
+
 def test_pdas_settles_on_an_active_set_cycle_longer_than_two():
     # at the optimal control of the 8x8, M = 1e-3 problem, u and A u - f both vanish to
-    # roundoff on nodes that flip from step to step: the active sets cycle with period 3,
-    # every state within tolerance, so only a repeat at any distance ends the run
+    # roundoff on nodes that flip from step to step: the active sets cycle with period 3
+    # and never settle, but the states are within tolerance, which alone ends the run
     mesh = build_rectangle_mesh(8, 8, gamma1_sides=("left",))
-    g = np.loadtxt(Path(__file__).parent / "data" / "optimal_control_8x8.txt")
+    g = np.loadtxt(OPTIMAL_CONTROL_8X8)
     prob = obstacle_problem(mesh, g, 0.0, 0.05)
     sol = solve_pdas(prob)
     assert sol.converged
     assert sol.iterations <= 10
     assert sol.complementarity_residual <= 1e-10 * prob.residual_scale()
+
+
+def test_optimal_control_fixture_is_the_8x8_optimum():
+    # the fixture's recorded J, and the sign conditions of its KKT point: the optimal
+    # control is -lambda/M on the free nodes, with lambda >= 0, and 0 on Gamma1
+    mesh = build_rectangle_mesh(8, 8, gamma1_sides=("left",))
+    g = np.loadtxt(OPTIMAL_CONTROL_8X8)
+    report = ControlProblem(mesh, CostParams(1e-3, 0.0, 0.05)).cost(g)
+    assert report.cost == pytest.approx(1.6364016482e-4, rel=1e-10)
+    assert np.all(g <= 0.0)
+    assert np.all(g[dof_map(mesh).dirichlet_nodes] == 0.0)
+
+
+@pytest.mark.parametrize("width", [1e-100, 8e-150])
+def test_pdas_converges_on_cells_too_thin_for_their_active_sets_to_settle(width):
+    # on cells 1e100 times longer than wide, u and A u - f vanish to roundoff together and
+    # the predicted active set never repeats, but the first solved state is within tolerance
+    mesh = build_rectangle_mesh(8, 8, (0.0, 0.0, width, 1.0), ("bottom",))
+    cp = ControlProblem(mesh, CostParams(1.0, 0.0, 0.05))
+    g = random_control(mesh, np.random.default_rng(0), 10.0)
+    sol = cp.solve_state(g)  # raises SolverError unless converged
+    assert sol.complementarity_residual <= 1e-10 * cp.as_obstacle_problem(g).residual_scale()
 
 
 def test_verify_vi_probes(mesh3):
