@@ -95,14 +95,12 @@ class RunConfig:
             mesh = build_rectangle_mesh(self.nx, self.ny, self.domain, self.gamma1_sides)
         except ValueError as exc:
             problems.append(str(exc))
-        except OverflowError as exc:  # an nx or ny past the float range, which h is computed in
-            problems.append(f"nx/ny: {exc}")
         try:
             params = CostParams(self.M, dirichlet=self.b, solver=self.solver, tol=self.tol)
         except ValueError as exc:
             problems.append(str(exc))
-        if min(self.levels, self.optimize_levels, self.oracle_extra_levels) < 1:
-            problems.append("levels, optimize_levels and oracle_extra_levels must be >= 1")
+        if min(self.levels, self.optimize_levels) < 2 or self.oracle_extra_levels < 1:
+            problems.append("levels and optimize_levels must be >= 2, oracle_extra_levels >= 1")
         if self.trials < 1:
             problems.append(f"trials must be >= 1 (got trials={self.trials})")
         if self.seed < 0:
@@ -299,8 +297,8 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
     write_lines(out / "trace.csv", header, map(dict.values, res.trace))
     # the bytes np.savetxt writes, formatted from Python floats
     write_lines(out / "control.txt", None, ["%.18e" % v for v in res.control.tolist()])
-    dump_solution(mesh, res.state, out / "state.csv")
-    report = cp.cost(res.control, res.state)
+    report = res.report
+    dump_solution(mesh, report.state, out / "state.csv")
     write_json(
         out / "cost_report.json",
         {
@@ -317,7 +315,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
     if not res.converged:  # the outputs above are written first
         raise SolverError(res.failure())
     if not quiet:
-        print(f"optimized in {res.iterations} iterations, cost {res.cost:.6e}")
+        print(f"optimized in {res.iterations} iterations, cost {report.cost:.6e}")
     return EXIT_OK
 
 

@@ -61,8 +61,7 @@ class CostReport:
 @dataclass
 class OptimizerResult:
     control: np.ndarray
-    state: VISolution
-    cost: float
+    report: CostReport  # of the final control, with its state
     gradient_norm: float
     iterations: int
     converged: bool
@@ -176,9 +175,8 @@ class ControlProblem:
         """
         g = interpolate(self.mesh, g0).copy()
         staged = SolverError.staged  # a failed solve's reason names its stage and iteration
-        state = staged("first state solve", self.solve_state, g)
-        report = self.cost(g, state)
-        grad = staged("adjoint at iteration 0", self.gradient, g, state)
+        report = self.cost(g, staged("first state solve", self.solve_state, g))
+        grad = staged("adjoint at iteration 0", self.gradient, g, report.state)
         gnorm = l2_norm(grad, self.mass)
         gtol = 1e-8 * max(1.0, gnorm)
 
@@ -200,7 +198,7 @@ class ControlProblem:
             for _ in range(60):
                 g_try = g - step * grad
                 trial = f"line-search trial at iteration {it}"
-                state_try = staged(trial, self.solve_state, g_try, state.u)
+                state_try = staged(trial, self.solve_state, g_try, report.state.u)
                 report_try = self.cost(g_try, state_try)
                 if report_try.cost <= report.cost - 1e-4 * step * gnorm**2:
                     break
@@ -214,20 +212,19 @@ class ControlProblem:
                 stalled = it
                 break
             prev_g, prev_grad = g, grad
-            g, state, report, grad, gnorm = g_try, state_try, report_try, grad_try, gnorm_try
+            g, report, grad, gnorm = g_try, report_try, grad_try, gnorm_try
             trace.append(
                 {
                     "iteration": it,
                     "cost": report.cost,
                     "gradient_norm": gnorm,
                     "step": step,
-                    "active_set_size": int(state.active_set.size),
+                    "active_set_size": int(report.state.active_set.size),
                 }
             )
         return OptimizerResult(
             control=g,
-            state=state,
-            cost=report.cost,
+            report=report,
             gradient_norm=gnorm,
             iterations=it,
             converged=converged,

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import ArpackError
 
 from .assembly import coercivity_constant, h1_norm, l2_norm
 from .control import ControlProblem, CostParams
-from .mesh import Mesh, prolongate, refine_times, refine_uniform
+from .mesh import Mesh, prolongate, refine_times
 from .vi import SolverError
 
 
@@ -77,8 +77,9 @@ def random_control(mesh: Mesh, rng: np.random.Generator, amplitude: float = 10.0
 def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, oracle, rate_h):
     """The hierarchy/oracle driver of the convergence studies.
 
-    base_mesh, its levels-1 uniform refinements and the oracle mesh,
-    oracle_extra_levels above the finest, each get one ControlProblem, solved
+    Level k is base_mesh refined k times, for k = 0 .. levels-1, and the oracle
+    is the level oracle_extra_levels above the finest; the study owns these
+    level numbers, a mesh holds none. Each level gets one ControlProblem, solved
     coarse to fine by solve(cp) -> (nodal state, nodal control or None, cost).
     A SolverError, or an error or cost past the float range, is raised naming its
     level. Rows hold distances to the oracle on the oracle mesh, the reference
@@ -86,33 +87,30 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
     """
     if levels < 1 or oracle_extra_levels < 1:
         raise ValueError("levels and oracle_extra_levels must be >= 1")
-    meshes = [base_mesh]
-    for _ in range(levels - 1):
-        meshes.append(refine_uniform(meshes[-1]))
-    meshes.append(refine_times(meshes[-1], oracle_extra_levels))
-    solved = []  # (mesh, state, control, cost) per level, coarse to fine, then the oracle
-    for mesh in meshes:
+    solved = []  # (level, mesh, state, control, cost), coarse to fine, then the oracle
+    for k in [*range(levels), levels - 1 + oracle_extra_levels]:
+        mesh = refine_times(base_mesh, k)
         cp = ControlProblem(mesh, params)
-        level = f"level {mesh.level} ({mesh.nx}x{mesh.ny})"
-        solved.append((mesh, *SolverError.staged(level, solve, cp)))
-    oracle_mesh, oracle_u, oracle_g, oracle_cost = solved.pop()
+        stage = f"level {k} ({mesh.nx}x{mesh.ny})"
+        solved.append((k, mesh, *SolverError.staged(stage, solve, cp)))
+    oracle_level, oracle_mesh, oracle_u, oracle_g, oracle_cost = solved.pop()
     a_o, m_o = cp.stiffness, cp.mass  # the oracle's, solved last
 
     table = ConvergenceTable(
-        reference=f"{oracle} oracle at level {oracle_mesh.level} (h={oracle_mesh.h!r})",
-        oracle_level=oracle_mesh.level,
+        reference=f"{oracle} oracle at level {oracle_level} (h={oracle_mesh.h!r})",
+        oracle_level=oracle_level,
         oracle_cost=oracle_cost,
     )
-    for mesh, u, g, cost in solved:
+    for k, mesh, u, g, cost in solved:
         du = prolongate(mesh, u, oracle_mesh) - oracle_u
         dg = None if g is None else prolongate(mesh, g, oracle_mesh) - oracle_g
         error_v, error_h = h1_norm(du, a_o, m_o, with_l2=True)
         if not np.isfinite([error_v, error_h, cost, oracle_cost]).all():  # not control_distance
-            level = f"level {mesh.level} ({mesh.nx}x{mesh.ny})"
-            raise SolverError(f"{level}: its error or cost, or the oracle's, left the float range")
+            stage = f"level {k} ({mesh.nx}x{mesh.ny})"
+            raise SolverError(f"{stage}: its error or cost, or the oracle's, left the float range")
         table.rows.append(
             ConvergenceRow(
-                level=mesh.level,
+                level=k,
                 h=mesh.h,
                 error_v=error_v,
                 error_h=error_h,
@@ -149,14 +147,12 @@ def run_state_convergence(
 
 def run_cost_convergence(table: ConvergenceTable) -> dict:
     """Per-level gap |J_level(g) - J_oracle(g)| and its fitted rate, read off
-    a run_state_convergence table."""
+    a run_state_convergence table, which holds the oracle's cost and level."""
     rows = [
         {"level": r.level, "h": r.h, "cost": r.cost, "gap": abs(r.cost - table.oracle_cost)}
         for r in table.rows
     ]
     return {
-        "oracle_cost": table.oracle_cost,
-        "oracle_level": table.oracle_level,
         "rows": rows,
         "rate": fit_rate([r["h"] for r in rows], [r["gap"] for r in rows]),
     }
@@ -178,7 +174,7 @@ def run_control_convergence(
         res = cp.optimize(0.0)
         if not res.converged:
             raise SolverError(res.failure())
-        return res.state.u, res.control, res.cost
+        return res.report.state.u, res.control, res.report.cost
 
     return _convergence_study(
         base_mesh, params, levels, oracle_extra_levels, solve, "optimizer", "control_distance"

@@ -2,14 +2,15 @@
 
 The mesh family is fixed: an nx-by-ny grid of cells, each split along the
 lower-left to upper-right diagonal, vertices numbered row-major. A mesh
-stores that grid alone and derives its vertices and triangles when read, so it
-compares and hashes by value. The Dirichlet boundary Gamma1 is a nonempty
-union of whole rectangle sides; the rest of the boundary is the Neumann part Gamma2.
+stores that grid alone and derives h, its vertices and triangles when read, so
+it compares and hashes by value; a level number belongs to the study that
+refines it, not to the mesh. The Dirichlet boundary Gamma1 is a nonempty union
+of whole rectangle sides; the rest of the boundary is the Neumann part Gamma2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +20,24 @@ SIDES = {"left": (slice(None), 0), "right": (slice(None), -1), "bottom": 0, "top
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming P1 triangulation of a rectangle, stored as its grid alone.
+    """Conforming P1 triangulation of a rectangle, stored as its grid alone: h
+    is derived from the grid, and a level in a refinement hierarchy is counted
+    by the convergence study that builds it.
 
-    h              : longest triangle side
-    level          : refinement count from the base mesh
     gamma1_sides   : the sides (keys of SIDES) that make up Gamma1
     """
 
-    h: float
-    level: int
-    # the grid, which fixes vertices, triangles, refinement and point location
+    # the grid, which fixes h, vertices, triangles, refinement and point location
     nx: int
     ny: int
     domain: tuple[float, float, float, float]  # (x0, y0, x1, y1)
     gamma1_sides: frozenset[str]
+
+    @property
+    def h(self) -> float:
+        """Longest triangle side: the cell diagonal."""
+        x0, y0, x1, y1 = self.domain
+        return float(np.hypot((x1 - x0) / self.nx, (y1 - y0) / self.ny))
 
     @property
     def num_vertices(self) -> int:
@@ -72,11 +77,7 @@ def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("lef
     x0, y0, x1, y1 = map(float, domain)
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"domain {domain} is degenerate: it needs x1 > x0 and y1 > y0")
-
-    dx = (x1 - x0) / nx
-    dy = (y1 - y0) / ny
-    h = float(np.hypot(dx, dy))
-    return Mesh(h=h, level=0, nx=nx, ny=ny, domain=(x0, y0, x1, y1), gamma1_sides=sides)
+    return Mesh(nx=nx, ny=ny, domain=(x0, y0, x1, y1), gamma1_sides=sides)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -90,9 +91,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
 def refine_times(mesh: Mesh, times: int) -> Mesh:
     """`times` uniform refinements, built at once without the meshes in between."""
-    k = 2**times
-    fine = build_rectangle_mesh(k * mesh.nx, k * mesh.ny, mesh.domain, mesh.gamma1_sides)
-    return replace(fine, h=mesh.h / k, level=mesh.level + times)
+    return build_rectangle_mesh(mesh.nx << times, mesh.ny << times, mesh.domain, mesh.gamma1_sides)
 
 
 def interpolate(mesh: Mesh, f) -> np.ndarray:

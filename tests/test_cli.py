@@ -645,7 +645,7 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("sweep", "levels", 3000),  # an oracle of 8 * 2**3001 cells a side
         ("sweep", "levels", 10**20),  # an oracle of 8 * 2**(10**20 + 1) cells a side
         # 1x1 refined 20 times is 2**20 cells a side, 2**40 cells in all
-        ("sweep", "oracle_extra_levels", {"nx": 1, "ny": 1, "levels": 1, "value": 20}),
+        ("sweep", "oracle_extra_levels", {"nx": 1, "ny": 1, "levels": 2, "value": 19}),
         ("scan", "amplitude", -1.0),  # uniform draws on [1, -1]
         # the range rules of build_rectangle_mesh and CostParams, which name their keys
         ("solve", "nx", 0),
@@ -656,7 +656,7 @@ def test_flux_from_file_matches_constant(tmp_path):
         ("solve", "M", 0.0),
         ("solve", "solver", "cg"),
         ("solve", "tol", -1.0),
-        pytest.param("solve", "nx", 10**400, id="solve-nx-10**400"),  # h needs nx as a float
+        pytest.param("solve", "nx", 10**400, id="solve-nx-10**400"),  # over 2**20 cells
         # cells of 1e154: dx*dx is 1e308, but dx*dx + dy*dy and the 2 dx dy of assembly overflow
         ("solve", "domain", {
             "nx": 16, "ny": 16, "b": 0.05, "g": 0.0, "amplitude": 0.0,
@@ -667,6 +667,9 @@ def test_flux_from_file_matches_constant(tmp_path):
             "nx": 1, "ny": 1, "b": 0.05, "g": -50.0, "levels": 3, "oracle_extra_levels": 8,
             "value": [0, 0, 1.5e-154, 1.5e-154],
         }),
+        # a rate needs two levels: one level would be solved with its oracle, then fail its checks
+        ("sweep", "levels", {"nx": 4, "ny": 4, "oracle_extra_levels": 2, "value": 1}),
+        ("sweep", "optimize_levels", {"nx": 4, "ny": 4, "sweep_control": True, "value": 1}),
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):

@@ -89,7 +89,7 @@ def test_sweep_solves_each_problem_once(base, monkeypatch):
     # three levels (2x2 to 8x8), the 16x16 start of the 32x32 oracle's cold solve, and the oracle
     assert len(sizes) == len(set(sizes)) == 3 + 1 + 1
     assert sizes.count(refine_times(base, 4).num_vertices) == 1
-    assert run["oracle_level"] == 4
+    assert table.oracle_level == 4
     assert [r["cost"] for r in run["rows"]] == [r.cost for r in table.rows]
 
 
@@ -233,14 +233,14 @@ def test_control_convergence_rows_match_cold_optimize_runs(base):
     # the same problems optimized cold, one mesh at a time
     oracle_cp = control.ControlProblem(refine_times(base, 4), params)
     oracle = oracle_cp.optimize(0.0)
-    assert table.oracle_level == oracle_cp.mesh.level
-    assert table.oracle_cost == oracle.cost
+    assert table.oracle_level == 4
+    assert table.oracle_cost == oracle.report.cost
     for k, row in enumerate(table.rows):
         mesh = refine_times(base, k)
         res = control.ControlProblem(mesh, params).optimize(0.0)
-        du = prolongate(mesh, res.state.u, oracle_cp.mesh) - oracle.state.u
+        du = prolongate(mesh, res.report.state.u, oracle_cp.mesh) - oracle.report.state.u
         dg = prolongate(mesh, res.control, oracle_cp.mesh) - oracle.control
-        assert row.cost == res.cost
+        assert row.level == k and row.cost == res.report.cost
         assert row.error_v == h1_norm(du, oracle_cp.stiffness, oracle_cp.mass)
         assert row.error_h == l2_norm(du, oracle_cp.mass)
         assert row.control_distance == l2_norm(dg, oracle_cp.mass)

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,16 +71,13 @@ def test_refine_quadruples_triangles():
     f = refine_uniform(m)
     assert len(f.triangles) == 8
     assert f.h == pytest.approx(np.sqrt(2) / 2, abs=0)
-    assert f.level == 1 and m.level == 0
 
 
 def test_refine_times_equals_repeated_refinement():
     m = build_rectangle_mesh(3, 2, domain=(0, 0, 2, 1), gamma1_sides=("left", "top"))
     stepwise = refine_uniform(refine_uniform(refine_uniform(m)))
     at_once = msh.refine_times(m, 3)
-    assert (at_once.h, at_once.level, at_once.nx, at_once.ny) == (
-        stepwise.h, stepwise.level, stepwise.nx, stepwise.ny
-    )
+    assert (at_once.h, at_once.nx, at_once.ny) == (stepwise.h, stepwise.nx, stepwise.ny)
     assert np.array_equal(at_once.vertices, stepwise.vertices)
     assert np.array_equal(at_once.triangles, stepwise.triangles)
     assert at_once.gamma1_sides == stepwise.gamma1_sides
@@ -87,6 +85,9 @@ def test_refine_times_equals_repeated_refinement():
     assert at_once == stepwise and hash(at_once) == hash(stepwise) and at_once != m
     assert build_rectangle_mesh(4, 4) == build_rectangle_mesh(4, 4)
     assert hash(build_rectangle_mesh(4, 4)) == hash(build_rectangle_mesh(4, 4))
+    # the grid is all a mesh holds: refined, it equals the same grid built directly
+    assert [f.name for f in fields(msh.Mesh)] == ["nx", "ny", "domain", "gamma1_sides"]
+    assert at_once == build_rectangle_mesh(24, 16, (0, 0, 2, 1), ("top", "left"))
 
 
 def test_mesh_keeps_no_per_vertex_array():
