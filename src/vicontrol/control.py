@@ -23,7 +23,9 @@ from .assembly import (
     l2_norm,
 )
 from .mesh import SIDES, Mesh, build_rectangle_mesh, interpolate, prolongate
-from .vi import ObstacleProblem, SolverError, VISolution, solve_pdas, solve_psor, solve_reduced
+from .vi import (
+    ObstacleProblem, SolverError, VISolution, lift_solution, solve_pdas, solve_psor, solve_reduced
+)
 
 NESTED_START = 32  # a cold solve with nx, ny even and at least this starts from its half mesh
 
@@ -103,13 +105,16 @@ class ControlProblem:
 
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:
         """State for control g; raises SolverError, carrying the unconverged solution, when
-        the solver misses params.tol. A cold solve (no warm_start) with nx and ny even and at
-        least NESTED_START starts from the state on the mesh with half the cells per side,
-        prolongated (nested iteration), unless that solve raises SolverError: a mere guess, so
-        numpy's floating-point warnings are silenced while it is made."""
+        the solver misses params.tol. With no load (g and the flux have no nonzero entry, and
+        g is no callable) the state is the lift u = b, solved in 0 iterations. Otherwise a cold
+        solve (no warm_start) with nx and ny even and at least NESTED_START starts from the
+        state on the mesh with half the cells per side, prolongated (nested iteration), unless
+        that solve raises SolverError: a mere guess, so numpy's floating-point warnings are
+        silenced while it is made."""
         mesh = self.mesh
+        loaded = callable(g) or np.any(g) or self.flux.any()  # read before any load is built
         even = mesh.nx % 2 == mesh.ny % 2 == 0
-        if warm_start is None and even and min(mesh.nx, mesh.ny) >= NESTED_START:
+        if loaded and warm_start is None and even and min(mesh.nx, mesh.ny) >= NESTED_START:
             half = build_rectangle_mesh(mesh.nx // 2, mesh.ny // 2, mesh.domain, mesh.gamma1_sides)
 
             def inject(v):  # a nodal array's values at the vertices the half mesh keeps
@@ -122,8 +127,11 @@ class ControlProblem:
                 u = ControlProblem(half, params).solve_state(inject(g)).u
                 warm_start = prolongate(half, u, mesh)
         problem = self.as_obstacle_problem(g)
-        solver = solve_psor if self.params.solver == "psor" else solve_pdas
-        sol = solver(problem, tol=self.params.tol, u0=warm_start)
+        if loaded:
+            solver = solve_psor if self.params.solver == "psor" else solve_pdas
+            sol = solver(problem, tol=self.params.tol, u0=warm_start)
+        else:  # A's rows sum to zero, so the lift u = b solves a problem with no load
+            sol = lift_solution(problem, self.params.tol, self.params.solver)
         if not sol.converged:
             raise SolverError(
                 f"state solve did not converge (residual {sol.complementarity_residual:.3e})",
@@ -153,7 +161,8 @@ class ControlProblem:
         g = interpolate(self.mesh, g)
         if state is None:
             state = self.solve_state(g)
-        inactive = np.setdiff1d(self.dofs.free_nodes, state.active_set)
+        # both ascending without repeats: the active set is cut from the free nodes
+        inactive = np.setdiff1d(self.dofs.free_nodes, state.active_set, assume_unique=True)
         p = np.zeros(self.mesh.num_vertices)
         if inactive.size:
             p[inactive] = solve_reduced(self.stiffness, inactive, (self.mass @ state.u)[inactive])

@@ -10,6 +10,7 @@ Two iterative solvers: projected SOR and a primal-dual active set method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,6 +108,16 @@ def _finalize(problem, u, iters, converged, method, tol_abs, residual) -> VISolu
     return VISolution(u, active, residual, iters, converged, method)
 
 
+def lift_solution(problem: ObstacleProblem, tol: float, method: str) -> VISolution:
+    """The lift u = b on every node, in no iteration: the solution of a problem with no load,
+    as A's rows sum to zero. It has converged when its complementarity residual is within
+    tol * max(1, ||f||_inf), as a solver's would; `method` names the solver it stands for."""
+    u = _initial_state(problem, None)
+    tol_abs = tol * problem.residual_scale()
+    residual = _complementarity_residual(problem, u)
+    return _finalize(problem, u, 0, residual <= tol_abs, method, tol_abs, residual)
+
+
 def solve_reduced(stiffness: sp.dia_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A[nodes, nodes] x = rhs (a PDAS step or an adjoint) by sparse LU on the CSC
     block of the ascending nodes, ordered by minimum degree on A + A^T since A is SPD on free
@@ -190,8 +201,12 @@ def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:
     """Per-vertex `x,y,u,active` dump for plotting the discrete free boundary."""
     active = np.zeros(mesh.num_vertices, dtype=int)
     active[solution.active_set] = 1
-    # Python floats and ints from tolist() print as repr(float(x)) and int(a) would
-    columns = (*mesh.vertices.T.tolist(), solution.u.tolist(), active.tolist())
+    # Python floats and ints from tolist() print as repr(float(x)) and int(a) would; the
+    # vertices run row-major, so each grid column's x and each grid row's y is printed once
+    width, coordinates = mesh.nx + 1, mesh.vertices.T
+    xs = [repr(x) for x in coordinates[0, :width].tolist()]
+    ys = [repr(y) for y in coordinates[1, ::width].tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,u,active\n")
-        fh.writelines(f"{x!r},{y!r},{u!r},{a}\n" for x, y, u, a in zip(*columns))
+        rows = zip(product(ys, xs), solution.u.tolist(), active.tolist())
+        fh.writelines(f"{x},{y},{u!r},{a}\n" for (y, x), u, a in rows)

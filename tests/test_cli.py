@@ -378,10 +378,11 @@ def test_failed_start_writes_no_state_of_another_mesh(tmp_path, monkeypatch):
 
 def test_start_whose_cells_overflow_is_skipped(tmp_path):
     # the 64x64 cells of 9e153 fit the float range, but the 32x32 start's stiffness of
-    # 1.8e154 cells overflows and its load is not finite: the solve starts from u = b
+    # 1.8e154 cells overflows and its load is not finite: the solve starts from u = b. The
+    # flux q is a load: with g = q = 0 the lift u = b is the state, and no start is made
     cfg = write_config(
         tmp_path / "cfg.yaml", domain=[0, 0, 5.76e155, 5.76e155], nx=64, ny=64, b=0.05, g=0.0,
-        amplitude=0.0, out=str(tmp_path / "out"),
+        q=1.0, amplitude=0.0, out=str(tmp_path / "out"),
     )
     # the start's overflow is a failed guess: numpy's warnings are silenced with it, and the
     # suite's error::RuntimeWarning filter fails the test on any that is printed

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from vicontrol import control
 from vicontrol.assembly import assemble_boundary_flux, assemble_mass, l2_norm
 from vicontrol.control import ControlProblem, CostParams
-from vicontrol.mesh import build_rectangle_mesh
+from vicontrol.mesh import build_rectangle_mesh, prolongate
 from vicontrol.vi import SolverError, solve_pdas
 
 
@@ -383,6 +383,87 @@ def test_psor_with_omega_from_the_grid_takes_at_most_400_sweeps(nx, ny):
     # with omega = 1.5 and from u = b, 64x64 took 1,369 sweeps and 64x32 874
     cp = ControlProblem(build_rectangle_mesh(nx, ny), CostParams(1.0, 0.0, 1.0, "psor"))
     assert cp.solve_state(psor32_control).iterations <= 400
+
+
+@pytest.mark.parametrize("solver", ["pdas", "psor"])
+@pytest.mark.parametrize("g", [0.0, -0.0, np.zeros(65 * 65)])
+def test_no_load_makes_the_lift_the_state_without_a_solve(monkeypatch, solver, g):
+    # A's rows sum to zero, so with g = q = 0 the lift u = b solves the VI: no solver runs,
+    # no nested start is built and no reduced system is factored
+    calls = []
+    init, spsolve = ControlProblem.__init__, spla.spsolve
+
+    def recording_init(self, mesh, params):
+        calls.append(("ControlProblem", mesh.nx))
+        init(self, mesh, params)
+
+    def recording_spsolve(*args, **kwargs):
+        calls.append("spsolve")
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(ControlProblem, "__init__", recording_init)
+    monkeypatch.setattr(spla, "spsolve", recording_spsolve)
+    for name in ("solve_pdas", "solve_psor"):
+        monkeypatch.setattr(control, name, lambda *args, **kwargs: calls.append("solver"))
+    cp = ControlProblem(build_rectangle_mesh(64, 64), CostParams(1.0, 0.0, 0.05, solver))
+    state = cp.solve_state(g)
+    assert calls == [("ControlProblem", 64)]
+    assert state.u.tobytes() == np.full(cp.mesh.num_vertices, 0.05).tobytes()
+    assert (state.iterations, state.converged, state.method) == (0, True, solver)
+    assert state.active_set.size == 0 and state.complementarity_residual <= 1e-10
+
+
+def test_a_lift_that_misses_the_tolerance_raises_carrying_the_lift():
+    # A u for u = b leaves a rounding residual below 1e-16 on 4x4 (6.9e-18), above 1e-300
+    cp = ControlProblem(build_rectangle_mesh(4, 4), CostParams(1.0, 0.0, 0.05, tol=1e-300))
+    with pytest.raises(SolverError, match=r"^state solve did not converge \(residual ") as failed:
+        cp.solve_state(0.0)
+    lift = failed.value.solution
+    assert lift.u.tobytes() == np.full(25, 0.05).tobytes()
+    assert (lift.iterations, lift.converged, lift.method) == (0, False, "pdas")
+    assert 0 < lift.complementarity_residual < 1e-16
+
+
+def _state_of_the_chain(params, g):
+    """The 64x64 state solve_state gave before a problem with no load had the lift: the
+    solver, cold on 16x16 from u = b and from each mesh's state prolongated on the next,
+    every mesh solved whether or not its data vanish; g's nodal values are injected."""
+    solver = control.solve_psor if params.solver == "psor" else solve_pdas
+    state = coarse = None
+    for k in (16, 32, 64):
+        mesh = build_rectangle_mesh(k, k)
+        g_k = np.reshape(g, (65, 65))[:: 64 // k, :: 64 // k].ravel()
+        u0 = None if coarse is None else prolongate(coarse, state.u, mesh)
+        problem = ControlProblem(mesh, params).as_obstacle_problem(g_k)
+        state, coarse = solver(problem, tol=params.tol, u0=u0), mesh
+    return state
+
+
+@pytest.mark.parametrize(
+    "solver, vertex, q",
+    [
+        ("pdas", 32 * 65 + 32, 0.0),  # a nonzero g on every mesh of the chain
+        ("psor", 32 * 65 + 32, 0.0),
+        ("pdas", 33 * 65 + 31, 0.0),  # a nonzero g on 64x64 alone: its start is the lift
+        ("pdas", None, 1.0),  # g = 0 with a flux
+        ("psor", None, 1.0),
+    ],
+)
+def test_a_load_takes_the_solver_to_the_same_bits(solver, vertex, q):
+    params = CostParams(1.0, q, 0.05, solver)
+    g = np.zeros(65 * 65)
+    if vertex is not None:
+        g[vertex] = -50.0
+    state = ControlProblem(build_rectangle_mesh(64, 64), params).solve_state(g)
+    before = _state_of_the_chain(params, g)
+    assert state.iterations == before.iterations > 0
+    assert state.u.tobytes() == before.u.tobytes()
+    assert np.array_equal(state.active_set, before.active_set)
+
+
+def test_a_callable_control_is_a_load():
+    cp = ControlProblem(build_rectangle_mesh(4, 4), CostParams(1.0, 0.0, 0.05))
+    assert cp.solve_state(lambda x, y: 0.0 * x).iterations > 0
 
 
 @settings(max_examples=40, deadline=None)
