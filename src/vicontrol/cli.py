@@ -18,7 +18,7 @@ import yaml
 
 from . import harness
 from .assembly import l2_norm
-from .control import ControlProblem, CostParams
+from .control import ControlProblem, CostParams, TraceRow
 from .harness import write_json, write_lines
 from .mesh import Mesh, build_rectangle_mesh
 from .vi import SolverError, dump_solution
@@ -293,8 +293,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
     cp = ControlProblem(mesh, params)
     res = cp.optimize(g)
     u0 = SolverError.staged("the g = 0 state of control_norm_bound", cp.solve_state, 0.0).u
-    header = "iteration,cost,gradient_norm,step,active_set_size"
-    write_lines(out / "trace.csv", header, map(dict.values, res.trace))
+    write_lines(out / "trace.csv", ",".join(TraceRow._fields), res.trace)
     # the bytes np.savetxt writes, formatted from Python floats
     write_lines(out / "control.txt", None, ["%.18e" % v for v in res.control.tolist()])
     report = res.report
@@ -323,7 +322,7 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
     checks = {}
     for study, measure, values, rate in (
         ("state", "errors", [r.error_v for r in table.rows], table.rate_v),
-        ("cost", "gaps", [r["gap"] for r in cost_run["rows"]], cost_run["rate"]),
+        ("cost", "gaps", [r.gap for r in cost_run["rows"]], cost_run["rate"]),
     ):
         if all(v <= 1e-11 for v in values):
             checks[f"{study}_{measure}_exact"] = True
@@ -337,8 +336,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
     table = harness.run_state_convergence(mesh, g, params, cfg.levels, cfg.oracle_extra_levels)
     cost_run = harness.run_cost_convergence(table)
     write_lines(out / "state_convergence.csv", table.header, map(astuple, table.rows))
-    cost_rows = map(dict.values, cost_run["rows"])
-    write_lines(out / "cost_convergence.csv", "level,h,cost,gap", cost_rows)
+    write_lines(out / "cost_convergence.csv", ",".join(harness.CostRow._fields), cost_run["rows"])
 
     checks = _sweep_assertions(table, cost_run)
     summary = {
@@ -378,7 +376,7 @@ def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet
     records, summary = harness.run_open_problem_scan(
         mesh, params, cfg.trials, cfg.mu_grid, cfg.seed, cfg.amplitude
     )
-    header = "trial,mu,pointwise_margin,nonnegativity_margin,norm_margin,violation"
+    header = ",".join(harness.OpenProblemRecord.__dataclass_fields__)
     write_lines(out / "scan.csv", header, map(astuple, records))
     summary["experiment"] = "open_problem_scan"
     write_json(out / "summary.json", summary)

@@ -10,6 +10,7 @@ by Armijo backtracking.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
@@ -28,6 +29,9 @@ from .vi import (
 )
 
 NESTED_START = 32  # a cold solve with nx, ny even and at least this starts from its half mesh
+
+# one accepted optimizer step; its fields are the columns of trace.csv
+TraceRow = namedtuple("TraceRow", "iteration cost gradient_norm step active_set_size")
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class OptimizerResult:
     gradient_norm: float
     iterations: int
     converged: bool
-    trace: list[dict] = field(default_factory=list)
+    trace: list[TraceRow] = field(default_factory=list)
     stalled: int = 0  # the iteration whose accepted step left the cost unchanged, if any
 
     def failure(self) -> str:
@@ -139,10 +143,9 @@ class ControlProblem:
             )
         return sol
 
-    def cost(self, g, state: VISolution | None = None) -> CostReport:
+    def cost(self, g, state: VISolution) -> CostReport:
+        """J(g), with `state` g's state from solve_state."""
         g = interpolate(self.mesh, g)
-        if state is None:
-            state = self.solve_state(g)
         state_term = 0.5 * l2_norm(state.u, self.mass) ** 2
         control_term = 0.5 * self.params.weight * l2_norm(g, self.mass) ** 2
         return CostReport(
@@ -152,15 +155,14 @@ class ControlProblem:
             state=state,
         )
 
-    def gradient(self, g, state: VISolution | None = None) -> np.ndarray:
-        """H-representative of the cost gradient with the active set frozen.
+    def gradient(self, g, state: VISolution) -> np.ndarray:
+        """H-representative of the cost gradient at g, with the active set of `state`, g's
+        state from solve_state, frozen.
 
         Solve A_II p = (M_H u)_I on the inactive free nodes (p = 0 on active
         and Dirichlet nodes); the gradient field is M*g + p.
         """
         g = interpolate(self.mesh, g)
-        if state is None:
-            state = self.solve_state(g)
         # both ascending without repeats: the active set is cut from the free nodes
         inactive = np.setdiff1d(self.dofs.free_nodes, state.active_set, assume_unique=True)
         p = np.zeros(self.mesh.num_vertices)
@@ -222,15 +224,7 @@ class ControlProblem:
                 break
             prev_g, prev_grad = g, grad
             g, report, grad, gnorm = g_try, report_try, grad_try, gnorm_try
-            trace.append(
-                {
-                    "iteration": it,
-                    "cost": report.cost,
-                    "gradient_norm": gnorm,
-                    "step": step,
-                    "active_set_size": int(report.state.active_set.size),
-                }
-            )
+            trace.append(TraceRow(it, report.cost, gnorm, step, report.state.active_set.size))
         return OptimizerResult(
             control=g,
             report=report,

@@ -12,6 +12,7 @@ JSON-able summary dict.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class ConvergenceTable:
     oracle_level: int = -1
     oracle_cost: float = float("nan")
     header = "level,h,error_V,error_H,cost,control_distance"  # a CSV row is astuple(row)
+
+
+# one level of run_cost_convergence; its fields are the columns of cost_convergence.csv
+CostRow = namedtuple("CostRow", "level h cost gap")
 
 
 @dataclass
@@ -146,16 +151,10 @@ def run_state_convergence(
 
 
 def run_cost_convergence(table: ConvergenceTable) -> dict:
-    """Per-level gap |J_level(g) - J_oracle(g)| and its fitted rate, read off
-    a run_state_convergence table, which holds the oracle's cost and level."""
-    rows = [
-        {"level": r.level, "h": r.h, "cost": r.cost, "gap": abs(r.cost - table.oracle_cost)}
-        for r in table.rows
-    ]
-    return {
-        "rows": rows,
-        "rate": fit_rate([r["h"] for r in rows], [r["gap"] for r in rows]),
-    }
+    """Per-level CostRows, with the gap |J_level(g) - J_oracle(g)|, and their fitted rate, read
+    off a run_state_convergence table, which holds the oracle's cost and level."""
+    rows = [CostRow(r.level, r.h, r.cost, abs(r.cost - table.oracle_cost)) for r in table.rows]
+    return {"rows": rows, "rate": fit_rate([r.h for r in rows], [r.gap for r in rows])}
 
 
 def run_control_convergence(

@@ -112,7 +112,7 @@ def interpolate(mesh: Mesh, f) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FloatingPointError(
-            f"non-finite value at vertex {bad} {tuple(mesh.vertices[bad])}"
+            f"non-finite value at vertex {bad} {tuple(mesh.vertices[bad].tolist())}"
         )
     return values
 

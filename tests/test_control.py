@@ -27,7 +27,8 @@ def test_cost_params_validation():
 
 def test_cost_of_zero_control_unit_square(mesh):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    report = ControlProblem(mesh, params).cost(0.0)
+    cp = ControlProblem(mesh, params)
+    report = cp.cost(0.0, cp.solve_state(0.0))
     # state is identically 1, so J = 1/2 * area = 1/2
     assert report.control_term == 0.0
     assert report.cost == pytest.approx(0.5, abs=1e-12)
@@ -36,8 +37,9 @@ def test_cost_of_zero_control_unit_square(mesh):
 
 def test_cost_linear_in_weight(mesh):
     g = np.full(mesh.num_vertices, 2.0)
-    r1 = ControlProblem(mesh, CostParams(weight=1.0, dirichlet=1.0)).cost(g)
-    r2 = ControlProblem(mesh, CostParams(weight=2.0, dirichlet=1.0)).cost(g)
+    cp1 = ControlProblem(mesh, CostParams(weight=1.0, dirichlet=1.0))
+    cp2 = ControlProblem(mesh, CostParams(weight=2.0, dirichlet=1.0))
+    r1, r2 = cp1.cost(g, cp1.solve_state(g)), cp2.cost(g, cp2.solve_state(g))
     assert r2.cost - r1.cost == pytest.approx(r1.control_term, rel=1e-12)
     assert r2.state_term == pytest.approx(r1.state_term, rel=1e-12)
 
@@ -46,14 +48,16 @@ def test_cost_report_consistency(mesh):
     params = CostParams(weight=0.7, flux=0.5, dirichlet=0.8)
     rng = np.random.default_rng(2)
     g = rng.uniform(-5, 5, mesh.num_vertices)
-    report = ControlProblem(mesh, params).cost(g)
+    cp = ControlProblem(mesh, params)
+    report = cp.cost(g, cp.solve_state(g))
     assert report.cost == pytest.approx(report.state_term + report.control_term, rel=1e-14)
     assert report.state_term >= 0 and report.control_term >= 0
 
 
 def test_gradient_zero_at_trivial_optimum(mesh):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.0)
-    grad = ControlProblem(mesh, params).gradient(0.0)
+    cp = ControlProblem(mesh, params)
+    grad = cp.gradient(0.0, cp.solve_state(0.0))
     assert np.max(np.abs(grad)) <= 1e-14
 
 
@@ -67,12 +71,16 @@ def test_gradient_all_active_is_penalty_only(mesh):
     assert np.allclose(grad, 2.0 * g, atol=1e-14)
 
 
+def cost_of(cp, g):
+    return cp.cost(g, cp.solve_state(g)).cost
+
+
 def finite_difference_check(cp, g, directions, step=1e-5):
-    grad = cp.gradient(g)
+    grad = cp.gradient(g, cp.solve_state(g))
     worst = 0.0
     for d in directions:
-        jp = cp.cost(g + step * d).cost
-        jm = cp.cost(g - step * d).cost
+        jp = cost_of(cp, g + step * d)
+        jm = cost_of(cp, g - step * d)
         fd = (jp - jm) / (2 * step)
         an = float(grad @ (cp.mass @ d))
         worst = max(worst, abs(fd - an) / max(1e-12, abs(fd)))
@@ -172,7 +180,7 @@ def test_optimize_cost_history_monotone(mesh):
     cp = ControlProblem(mesh, params)
     res = cp.optimize(0.0)
     assert res.converged
-    hist = [cp.cost(0.0).cost] + [row["cost"] for row in res.trace]
+    hist = [cost_of(cp, 0.0)] + [row.cost for row in res.trace]
     assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
     assert res.report.state.converged  # final state is a valid VI solution
 
@@ -184,7 +192,7 @@ def test_optimize_stops_at_a_stall():
     res = ControlProblem(mesh, CostParams(weight=1e-3, flux=0.0, dirichlet=0.05)).optimize(-50.0)
     assert not res.converged
     assert 0 < res.stalled == res.iterations < 500
-    hist = [row["cost"] for row in res.trace]
+    hist = [row.cost for row in res.trace]
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
     assert res.report.cost == hist[-1] and len(hist) == res.iterations - 1
     assert f"stalled at iteration {res.iterations}," in res.failure()
@@ -196,7 +204,7 @@ def test_optimize_takes_a_converging_step_that_leaves_the_cost_unchanged():
     mesh = build_rectangle_mesh(8, 8, gamma1_sides=("right",))
     res = ControlProblem(mesh, CostParams(weight=0.3, flux=0.0, dirichlet=1.0)).optimize(0.0)
     assert res.converged and res.stalled == 0 and res.iterations == 7
-    hist = [row["cost"] for row in res.trace]
+    hist = [row.cost for row in res.trace]
     assert len(hist) == 7 and hist[-1] == hist[-2] == res.report.cost
 
 
@@ -252,7 +260,7 @@ def test_cost_lower_bound(mesh):
     rng = np.random.default_rng(16)
     for _ in range(50):
         g = rng.uniform(-10, 10, mesh.num_vertices)
-        report = cp.cost(g)
+        report = cp.cost(g, cp.solve_state(g))
         gn = l2_norm(g, cp.mass)
         assert report.cost >= 0.5 * params.weight * gn**2 - c * gn - 1e-9
 
@@ -269,10 +277,31 @@ def test_strict_convexity_surrogate():
                 g1 = rng.uniform(-10, 10, mesh.num_vertices)
                 g2 = rng.uniform(-10, 10, mesh.num_vertices)
                 mu = rng.uniform(0.1, 0.9)
-                chord = mu * cp.cost(g1).cost + (1 - mu) * cp.cost(g2).cost
+                chord = mu * cost_of(cp, g1) + (1 - mu) * cost_of(cp, g2)
                 dg = l2_norm(g2 - g1, cp.mass)
                 bound = chord - 0.5 * weight * mu * (1 - mu) * dg**2 + 1e-9
-                assert cp.cost(mu * g1 + (1 - mu) * g2).cost <= bound
+                assert cost_of(cp, mu * g1 + (1 - mu) * g2) <= bound
+
+
+@pytest.mark.parametrize("domain", [(0.0, 0.0, 1.0, 1.0), (0.3, -0.2, 1.1, 0.9)])
+def test_one_dimensional_state_against_the_exact_solution(domain):
+    # q = 0, Gamma1 = {left}, g < 0: the exact state is u* = b (1 - (x - x0)/a)_+^2 with
+    # a = sqrt(2b/|g|), whose state term is b^2 a (y1 - y0)/10. The discrete free boundary
+    # lags x0 + a by 0.43 to 1.45 cells on these strips, not within one cell on every level
+    x0, y0, x1, y1 = domain
+    b, g = 0.05, -50.0
+    a = np.sqrt(2 * b / abs(g))
+    exact = b * b * a * (y1 - y0) / 10
+    gaps = []
+    for n in (16, 32, 64, 128, 256, 512):
+        mesh = build_rectangle_mesh(n, 4, domain, ("left",))
+        cp = ControlProblem(mesh, CostParams(weight=1.0, flux=0.0, dirichlet=b))
+        state = cp.solve_state(g)
+        x = mesh.vertices[:, 0]
+        lag = (x0 + a - x[state.u > 0].max()) / ((x1 - x0) / n)
+        assert 0 < lag < 2
+        gaps.append(abs(cp.cost(g, state).state_term - exact) / exact)
+    assert all(finer < coarser for coarser, finer in zip(gaps, gaps[1:]))
 
 
 def test_every_reduced_solve_is_one_minimum_degree_spsolve(monkeypatch):

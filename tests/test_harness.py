@@ -63,7 +63,7 @@ def test_cost_convergence_smooth_case(base):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base, 10.0, params, levels=4, oracle_extra_levels=2)
     run = harness.run_cost_convergence(table)
-    gaps = [r["gap"] for r in run["rows"]]
+    gaps = [r.gap for r in run["rows"]]
     assert all(gaps[k + 1] < gaps[k] for k in range(len(gaps) - 1))
     assert run["rate"] >= 0.5
 
@@ -72,7 +72,7 @@ def test_cost_convergence_exact_case(base):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base, 0.0, params, levels=3, oracle_extra_levels=2)
     run = harness.run_cost_convergence(table)
-    assert all(r["gap"] <= 1e-11 for r in run["rows"])
+    assert all(r.gap <= 1e-11 for r in run["rows"])
 
 
 def test_sweep_solves_each_problem_once(base, monkeypatch):
@@ -90,7 +90,7 @@ def test_sweep_solves_each_problem_once(base, monkeypatch):
     assert len(sizes) == len(set(sizes)) == 3 + 1 + 1
     assert sizes.count(refine_times(base, 4).num_vertices) == 1
     assert table.oracle_level == 4
-    assert [r["cost"] for r in run["rows"]] == [r.cost for r in table.rows]
+    assert [r.cost for r in run["rows"]] == [r.cost for r in table.rows]
 
 
 def test_nested_iteration_changes_no_bits(monkeypatch):
@@ -116,7 +116,8 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
     assert table.oracle_cost == oracle.cost
     for k, row in enumerate(table.rows):
         mesh = refine_times(base4, k)
-        report = control.ControlProblem(mesh, params).cost(-50.0)
+        cp = control.ControlProblem(mesh, params)
+        report = cp.cost(-50.0, cp.solve_state(-50.0))
         diff = prolongate(mesh, report.state.u, oracle_cp.mesh) - oracle.state.u
         assert row.cost == report.cost
         assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)

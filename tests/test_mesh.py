@@ -165,6 +165,15 @@ def test_interpolate_rejects_nonfinite():
         interpolate(m, lambda x, y: np.where((x == 0) & (y == 0), np.inf, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_interpolate_names_the_non_finite_vertex_in_plain_floats(bad):
+    m = build_rectangle_mesh(2, 2)
+    values = np.ones(m.num_vertices)
+    values[1] = bad
+    with pytest.raises(FloatingPointError, match=r"^non-finite value at vertex 1 \(0\.5, 0\.0\)$"):
+        interpolate(m, values)
+
+
 def test_interpolate_calls_a_field_once_on_all_vertices():
     m = build_rectangle_mesh(3, 2, domain=(0, 0, 2, 1))
     calls = []

@@ -103,6 +103,19 @@ def test_pdas_one_update_when_inactive(mesh3):
     assert sol.iterations == 1
 
 
+def test_pdas_started_from_its_own_state_takes_one_iteration_to_the_same_bits():
+    # a warm start within tolerance still costs one solve: the optimizer's line search
+    # relies on it (a start returned after 0 iterations stalls optimize-128 at iteration 4)
+    mesh = build_rectangle_mesh(16, 16, gamma1_sides=("left",))
+    prob = obstacle_problem(mesh, -10.0, 0.0, 1.0)
+    cold = solve_pdas(prob)
+    warm = solve_pdas(prob, u0=cold.u)
+    assert cold.converged and warm.converged
+    assert (cold.iterations, warm.iterations) == (7, 1)
+    assert warm.u.tobytes() == cold.u.tobytes()
+    assert np.array_equal(warm.active_set, cold.active_set)
+
+
 def test_pdas_peak_memory_of_a_warm_start():
     # sweep-512's data, warm-started from the state one level down, as the sweep does
     params = CostParams(1.0, 0.0, 0.05)
@@ -283,7 +296,8 @@ def test_optimal_control_fixture_is_the_8x8_optimum():
     # control is -lambda/M on the free nodes, with lambda >= 0, and 0 on Gamma1
     mesh = build_rectangle_mesh(8, 8, gamma1_sides=("left",))
     g = np.loadtxt(OPTIMAL_CONTROL_8X8)
-    report = ControlProblem(mesh, CostParams(1e-3, 0.0, 0.05)).cost(g)
+    cp = ControlProblem(mesh, CostParams(1e-3, 0.0, 0.05))
+    report = cp.cost(g, cp.solve_state(g))
     assert report.cost == pytest.approx(1.6364016482e-4, rel=1e-10)
     assert np.all(g <= 0.0)
     assert np.all(g[dof_map(mesh).dirichlet_nodes] == 0.0)
