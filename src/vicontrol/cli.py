@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,18 +229,21 @@ def load_config(
     """The config for `command`, its base mesh, CostParams and g; ConfigError names a bad key."""
     data = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded = yaml.safe_load(fh) or {}
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must contain a mapping")
         data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    fields = RunConfig.__dataclass_fields__
-    unknown = set(data) - set(fields)
+    types = {f.name: f.type for f in fields(RunConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
     for key, value in data.items():
-        kind = FIELD_KINDS.get(fields[key].type)
+        kind = FIELD_KINDS.get(types[key])
         if kind is not None and not kind[1](value):
             raise ConfigError(f"{key} must be {kind[0]}, got {value!r}")
     cfg = RunConfig(**data)
@@ -321,7 +324,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
 def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
     checks = {}
     for study, measure, values, rate in (
-        ("state", "errors", [r.error_v for r in table.rows], table.rate_v),
+        ("state", "errors", [r.error_V for r in table.rows], table.rate_v),
         ("cost", "gaps", [r.gap for r in cost_run["rows"]], cost_run["rate"]),
     ):
         if all(v <= 1e-11 for v in values):
@@ -335,7 +338,8 @@ def _sweep_assertions(table: harness.ConvergenceTable, cost_run: dict) -> dict:
 def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet: bool) -> int:
     table = harness.run_state_convergence(mesh, g, params, cfg.levels, cfg.oracle_extra_levels)
     cost_run = harness.run_cost_convergence(table)
-    write_lines(out / "state_convergence.csv", table.header, map(astuple, table.rows))
+    header = ",".join(harness.ConvergenceRow._fields)  # of the control study's table too
+    write_lines(out / "state_convergence.csv", header, table.rows)
     write_lines(out / "cost_convergence.csv", ",".join(harness.CostRow._fields), cost_run["rows"])
 
     checks = _sweep_assertions(table, cost_run)
@@ -356,7 +360,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
         ctable = harness.run_control_convergence(
             mesh, params, cfg.optimize_levels, cfg.oracle_extra_levels
         )
-        write_lines(out / "control_convergence.csv", ctable.header, map(astuple, ctable.rows))
+        write_lines(out / "control_convergence.csv", header, ctable.rows)
         dists = [r.control_distance for r in ctable.rows]
         nonmono = sum(dists[k + 1] >= dists[k] for k in range(len(dists) - 1))
         ctrl_checks = {
@@ -376,8 +380,7 @@ def cmd_scan(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quiet
     records, summary = harness.run_open_problem_scan(
         mesh, params, cfg.trials, cfg.mu_grid, cfg.seed, cfg.amplitude
     )
-    header = ",".join(harness.OpenProblemRecord.__dataclass_fields__)
-    write_lines(out / "scan.csv", header, map(astuple, records))
+    write_lines(out / "scan.csv", ",".join(harness.OpenProblemRecord._fields), records)
     summary["experiment"] = "open_problem_scan"
     write_json(out / "summary.json", summary)
     if not quiet:

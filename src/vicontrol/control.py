@@ -56,12 +56,8 @@ class CostParams:
             raise ValueError(f"solver tolerance tol must be > 0 (got tol={self.tol})")
 
 
-@dataclass
-class CostReport:
-    cost: float
-    state_term: float
-    control_term: float
-    state: VISolution
+# J(g) = state_term + control_term, with the state it was evaluated at
+CostReport = namedtuple("CostReport", "cost state_term control_term state")
 
 
 @dataclass
@@ -148,12 +144,7 @@ class ControlProblem:
         g = interpolate(self.mesh, g)
         state_term = 0.5 * l2_norm(state.u, self.mass) ** 2
         control_term = 0.5 * self.params.weight * l2_norm(g, self.mass) ** 2
-        return CostReport(
-            cost=state_term + control_term,
-            state_term=state_term,
-            control_term=control_term,
-            state=state,
-        )
+        return CostReport(state_term + control_term, state_term, control_term, state)
 
     def gradient(self, g, state: VISolution) -> np.ndarray:
         """H-representative of the cost gradient at g, with the active set of `state`, g's

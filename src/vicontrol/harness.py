@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError
@@ -24,39 +23,25 @@ from .mesh import Mesh, prolongate, refine_times
 from .vi import SolverError
 
 
-@dataclass
-class ConvergenceRow:
-    level: int
-    h: float
-    error_v: float
-    error_h: float
-    cost: float
-    control_distance: float = float("nan")
+# one level of a convergence study; its fields are the columns of state_convergence.csv and
+# control_convergence.csv, and control_distance is nan in the state study
+ConvergenceRow = namedtuple("ConvergenceRow", "level h error_V error_H cost control_distance")
 
-
-@dataclass
-class ConvergenceTable:
-    reference: str
-    rows: list[ConvergenceRow] = field(default_factory=list)
-    rate_v: float = float("nan")
-    rate_h: float = float("nan")
-    oracle_level: int = -1
-    oracle_cost: float = float("nan")
-    header = "level,h,error_V,error_H,cost,control_distance"  # a CSV row is astuple(row)
-
+# a convergence study: its rows, coarse to fine, the rates fitted to them, and the oracle
+# that `reference` names, with its level and cost
+ConvergenceTable = namedtuple(
+    "ConvergenceTable", "reference rows rate_v rate_h oracle_level oracle_cost"
+)
 
 # one level of run_cost_convergence; its fields are the columns of cost_convergence.csv
 CostRow = namedtuple("CostRow", "level h cost gap")
 
-
-@dataclass
-class OpenProblemRecord:
-    trial: int
-    mu: float
-    pointwise_margin: float  # min over nodes of u3 - u4
-    nonnegativity_margin: float  # min over nodes of u4
-    norm_margin: float  # ||u3||_H - ||u4||_H
-    violation: bool
+# one (trial, mu) of the scan; its fields are the columns of scan.csv. The margins are
+# min over nodes of u3 - u4 and of u4, and ||u3||_H - ||u4||_H
+OpenProblemRecord = namedtuple(
+    "OpenProblemRecord",
+    "trial mu pointwise_margin nonnegativity_margin norm_margin violation",
+)
 
 
 def fit_rate(hs, errors) -> float:
@@ -101,11 +86,7 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
     oracle_level, oracle_mesh, oracle_u, oracle_g, oracle_cost = solved.pop()
     a_o, m_o = cp.stiffness, cp.mass  # the oracle's, solved last
 
-    table = ConvergenceTable(
-        reference=f"{oracle} oracle at level {oracle_level} (h={oracle_mesh.h!r})",
-        oracle_level=oracle_level,
-        oracle_cost=oracle_cost,
-    )
+    rows = []
     for k, mesh, u, g, cost in solved:
         du = prolongate(mesh, u, oracle_mesh) - oracle_u
         dg = None if g is None else prolongate(mesh, g, oracle_mesh) - oracle_g
@@ -113,20 +94,17 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
         if not np.isfinite([error_v, error_h, cost, oracle_cost]).all():  # not control_distance
             stage = f"level {k} ({mesh.nx}x{mesh.ny})"
             raise SolverError(f"{stage}: its error or cost, or the oracle's, left the float range")
-        table.rows.append(
-            ConvergenceRow(
-                level=k,
-                h=mesh.h,
-                error_v=error_v,
-                error_h=error_h,
-                cost=cost,
-                control_distance=float("nan") if dg is None else l2_norm(dg, m_o),
-            )
-        )
-    hs = [r.h for r in table.rows]
-    table.rate_v = fit_rate(hs, [r.error_v for r in table.rows])
-    table.rate_h = fit_rate(hs, [getattr(r, rate_h) for r in table.rows])
-    return table
+        distance = float("nan") if dg is None else l2_norm(dg, m_o)
+        rows.append(ConvergenceRow(k, mesh.h, error_v, error_h, cost, distance))
+    hs = [r.h for r in rows]
+    return ConvergenceTable(
+        f"{oracle} oracle at level {oracle_level} (h={oracle_mesh.h!r})",
+        rows,
+        fit_rate(hs, [r.error_V for r in rows]),
+        fit_rate(hs, [getattr(r, rate_h) for r in rows]),
+        oracle_level,
+        oracle_cost,
+    )
 
 
 def run_state_convergence(
@@ -146,7 +124,7 @@ def run_state_convergence(
         return state.u, None, cp.cost(g, state).cost
 
     return _convergence_study(
-        base_mesh, params, levels, oracle_extra_levels, solve, "state", "error_h"
+        base_mesh, params, levels, oracle_extra_levels, solve, "state", "error_H"
     )
 
 
@@ -237,16 +215,8 @@ def run_open_problem_scan(
             norm_margin = l2_norm(u3, m) - l2_norm(u4, m)
             if not np.isfinite(norm_margin):
                 raise SolverError(f"trial {trial}, mu={mu!r}: the H-norms of u3 and u4 overflow")
-            records.append(
-                OpenProblemRecord(
-                    trial=trial,
-                    mu=mu,
-                    pointwise_margin=pointwise,
-                    nonnegativity_margin=nonneg,
-                    norm_margin=norm_margin,
-                    violation=min(pointwise, nonneg, norm_margin) < -tol,
-                )
-            )
+            violation = min(pointwise, nonneg, norm_margin) < -tol
+            records.append(OpenProblemRecord(trial, mu, pointwise, nonneg, norm_margin, violation))
         with np.errstate(all="ignore"):  # a pair past the float range counts no ratio, silently
             dg = l2_norm(g2 - g1, m)
             if lam is not None and 0 < dg < np.inf:

@@ -9,6 +9,7 @@ Two iterative solvers: projected SOR and a primal-dual active set method.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
@@ -66,16 +67,11 @@ class ObstacleProblem:
         return max(1.0, float(np.abs(self.load).max(initial=0.0)))
 
 
-@dataclass
-class VISolution:
-    """State vector plus complementarity diagnostics."""
-
-    u: np.ndarray
-    active_set: np.ndarray  # free-node indices where u = 0
-    complementarity_residual: float
-    iterations: int
-    converged: bool
-    method: str = "unknown"
+# a state solve's result: the state u, its active set (the free nodes where u = 0), the
+# complementarity residual, the iteration count, whether it met its tolerance and the solver
+VISolution = namedtuple(
+    "VISolution", "u active_set complementarity_residual iterations converged method"
+)
 
 
 def _complementarity_residual(

@@ -6,7 +6,6 @@ fixed (seeded) so reruns are reproducible.
 """
 
 import time
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -110,7 +109,7 @@ def test_05_smooth_state_and_cost_convergence():
     table = harness.run_state_convergence(base, 10.0, params, levels=5, oracle_extra_levels=3)
     cost = harness.run_cost_convergence(table)
     elapsed = time.perf_counter() - t0
-    errs = [r.error_v for r in table.rows]
+    errs = [r.error_V for r in table.rows]
     gaps = [r.gap for r in cost["rows"]]
     assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
     assert table.rate_v >= 0.5
@@ -133,7 +132,7 @@ def test_06_convergence_with_active_obstacle():
         assert sol.converged and sol.active_set.size > 0
         mesh = refine_uniform(mesh)
     table = harness.run_state_convergence(base, -50.0, params, levels=5, oracle_extra_levels=3)
-    errs = [r.error_v for r in table.rows]
+    errs = [r.error_V for r in table.rows]
     assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
     assert table.rate_v >= 0.5
     report("active-set-convergence", f"rate {table.rate_v:.2f}")
@@ -146,7 +145,7 @@ def test_07_optimal_control_convergence():
     t0 = time.perf_counter()
     table = harness.run_control_convergence(base, params, levels=4, oracle_extra_levels=2)
     elapsed = time.perf_counter() - t0
-    u_errs = [r.error_v for r in table.rows]
+    u_errs = [r.error_V for r in table.rows]
     g_dists = [r.control_distance for r in table.rows]
     assert all(u_errs[k + 1] < u_errs[k] for k in range(len(u_errs) - 1))
     assert all(g_dists[k + 1] < g_dists[k] for k in range(len(g_dists) - 1))
@@ -240,6 +239,6 @@ def test_11_experiments_reproducible():
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
     r1, s1 = harness.run_open_problem_scan(mesh, params, trials=10, seed=42)
     r2, s2 = harness.run_open_problem_scan(mesh, params, trials=10, seed=42)
-    assert repr(list(map(astuple, r1))) == repr(list(map(astuple, r2)))
+    assert repr(r1) == repr(r2)
     assert s1 == s2  # the worst Lipschitz ratio included
     report("reproducibility")

@@ -97,6 +97,16 @@ def test_missing_config_file(tmp_path):
     assert cli.main(["--config", str(tmp_path / "nope.yaml"), "solve"]) == 1
 
 
+def test_config_file_that_is_not_utf8_is_an_invalid_configuration(tmp_path, capsys):
+    # the decode error names the file and writes nothing, where it ended in a traceback
+    cfg, out = tmp_path / "bad.yaml", tmp_path / "out"
+    cfg.write_bytes(b"nx: 4\nb: \xff\n")
+    assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and str(cfg) in err
+    assert not out.exists()
+
+
 def test_defaults_without_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["--quiet", "solve"]) == 0

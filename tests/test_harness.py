@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -46,15 +44,15 @@ def test_state_convergence_exact_constant_case(base):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base, 0.0, params, levels=3, oracle_extra_levels=2)
     for row in table.rows:
-        assert row.error_v <= 1e-11
-        assert row.error_h <= 1e-11
+        assert row.error_V <= 1e-11
+        assert row.error_H <= 1e-11
         assert row.cost == pytest.approx(0.5, abs=1e-12)
 
 
 def test_state_convergence_smooth_case(base):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     table = harness.run_state_convergence(base, 10.0, params, levels=4, oracle_extra_levels=2)
-    errs = [r.error_v for r in table.rows]
+    errs = [r.error_V for r in table.rows]
     assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
     assert table.rate_v >= 0.9
 
@@ -120,8 +118,8 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
         report = cp.cost(-50.0, cp.solve_state(-50.0))
         diff = prolongate(mesh, report.state.u, oracle_cp.mesh) - oracle.state.u
         assert row.cost == report.cost
-        assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
-        assert row.error_h == l2_norm(diff, oracle_cp.mass)
+        assert row.error_V == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_H == l2_norm(diff, oracle_cp.mass)
     assert oracle.state.active_set.size > 0  # the obstacle is active
     assert warm_oracle_iterations < cold_oracle_iterations
 
@@ -173,8 +171,33 @@ def test_oracle_climb_settles_its_active_set_and_changes_no_bits(monkeypatch):
     for row, (mesh, u, cost) in zip(table.rows, states, strict=True):
         diff = prolongate(mesh, u, oracle_mesh) - oracle_state.u
         assert row.cost == cost
-        assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
-        assert row.error_h == l2_norm(diff, oracle_cp.mass)
+        assert row.error_V == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_H == l2_norm(diff, oracle_cp.mass)
+
+
+def test_sweep_levels_against_the_exact_state():
+    # sweep-512's family: q = 0, Gamma1 = {left}, b = 0.05, g = -50, whose exact state is
+    # u* = b (1 - x/a)_+^2 with a = sqrt(2b/|g|). The H1 distance of each level state to
+    # I_512 u* falls at every refinement, at a rate of at least 1/2, and by the triangle
+    # inequality lies within ||I_512 u* - u_512|| of the row's distance to the 512x512 oracle
+    b, g = 0.05, -50.0
+    base4 = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
+    params = CostParams(weight=1.0, flux=0.0, dirichlet=b)
+    table = harness.run_state_convergence(base4, g, params, levels=5, oracle_extra_levels=3)
+    oracle_cp = control.ControlProblem(refine_times(base4, 7), params)
+    a_o, m_o = oracle_cp.stiffness, oracle_cp.mass
+    x = oracle_cp.mesh.vertices[:, 0]
+    exact = b * np.maximum(1.0 - x / np.sqrt(2 * b / abs(g)), 0.0) ** 2
+    bound = h1_norm(exact - oracle_cp.solve_state(g).u, a_o, m_o)
+    assert 0 < bound < 1e-4
+    errors = []
+    for row in table.rows:
+        cp = control.ControlProblem(refine_times(base4, row.level), params)
+        lifted = prolongate(cp.mesh, cp.solve_state(g).u, oracle_cp.mesh)
+        errors.append(h1_norm(lifted - exact, a_o, m_o))
+        assert abs(errors[-1] - row.error_V) <= bound
+    assert all(finer < coarser for coarser, finer in zip(errors, errors[1:]))
+    assert harness.fit_rate([r.h for r in table.rows], errors) >= 0.5
 
 
 def test_failed_start_is_skipped(base, monkeypatch):
@@ -203,7 +226,7 @@ def test_failed_start_is_skipped(base, monkeypatch):
     for row, mesh in zip(table.rows, levels, strict=True):
         u = control.ControlProblem(mesh, params).solve_state(-50.0).u
         diff = prolongate(mesh, u, oracle_cp.mesh) - cold.u
-        assert row.error_v == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_V == h1_norm(diff, oracle_cp.stiffness, oracle_cp.mass)
 
 
 def test_failed_solve_names_its_level(base):
@@ -242,8 +265,8 @@ def test_control_convergence_rows_match_cold_optimize_runs(base):
         du = prolongate(mesh, res.report.state.u, oracle_cp.mesh) - oracle.report.state.u
         dg = prolongate(mesh, res.control, oracle_cp.mesh) - oracle.control
         assert row.level == k and row.cost == res.report.cost
-        assert row.error_v == h1_norm(du, oracle_cp.stiffness, oracle_cp.mass)
-        assert row.error_h == l2_norm(du, oracle_cp.mass)
+        assert row.error_V == h1_norm(du, oracle_cp.stiffness, oracle_cp.mass)
+        assert row.error_H == l2_norm(du, oracle_cp.mass)
         assert row.control_distance == l2_norm(dg, oracle_cp.mass)
     hs = [r.h for r in table.rows]
     assert table.rate_h == harness.fit_rate(hs, [r.control_distance for r in table.rows])
@@ -263,7 +286,7 @@ def test_control_convergence_trivial_optimum(base):
     table = harness.run_control_convergence(base, params, levels=3, oracle_extra_levels=1)
     for row in table.rows:
         assert row.control_distance <= 1e-7
-        assert row.error_v <= 1e-7
+        assert row.error_V <= 1e-7
 
 
 def test_control_convergence_decreasing(base):
@@ -404,7 +427,7 @@ def test_experiments_deterministic_given_seed():
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
     r1, s1 = harness.run_open_problem_scan(mesh, params, trials=5, mu_grid=(0.5,), seed=42)
     r2, s2 = harness.run_open_problem_scan(mesh, params, trials=5, mu_grid=(0.5,), seed=42)
-    assert repr(list(map(astuple, r1))) == repr(list(map(astuple, r2)))
+    assert repr(r1) == repr(r2)
     assert s1 == s2  # the worst Lipschitz ratio included
 
 
