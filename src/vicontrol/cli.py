@@ -278,7 +278,7 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
             "iterations": sol.iterations,
             "complementarity_residual": sol.complementarity_residual,
             "active_set_size": int(sol.active_set.size),
-            "method": sol.method,
+            "method": params.solver,
             "vertices": mesh.num_vertices,
         },
     )

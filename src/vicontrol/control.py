@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class OptimizerResult:
     gradient_norm: float
     iterations: int
     converged: bool
-    trace: list[TraceRow] = field(default_factory=list)
-    stalled: int = 0  # the iteration whose accepted step left the cost unchanged, if any
+    trace: list[TraceRow]
+    stalled: int  # the iteration whose accepted step left the cost unchanged, or 0
 
     def failure(self) -> str:
         """Why the run stopped unconverged, as a SolverError reads it."""
@@ -131,7 +131,7 @@ class ControlProblem:
             solver = solve_psor if self.params.solver == "psor" else solve_pdas
             sol = solver(problem, tol=self.params.tol, u0=warm_start)
         else:  # A's rows sum to zero, so the lift u = b solves a problem with no load
-            sol = lift_solution(problem, self.params.tol, self.params.solver)
+            sol = lift_solution(problem, self.params.tol)
         if not sol.converged:
             raise SolverError(
                 f"state solve did not converge (residual {sol.complementarity_residual:.3e})",

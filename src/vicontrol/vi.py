@@ -9,6 +9,7 @@ Two iterative solvers: projected SOR and a primal-dual active set method.
 
 from __future__ import annotations
 
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
@@ -68,10 +69,8 @@ class ObstacleProblem:
 
 
 # a state solve's result: the state u, its active set (the free nodes where u = 0), the
-# complementarity residual, the iteration count, whether it met its tolerance and the solver
-VISolution = namedtuple(
-    "VISolution", "u active_set complementarity_residual iterations converged method"
-)
+# complementarity residual, the iteration count and whether it met its tolerance
+VISolution = namedtuple("VISolution", "u active_set complementarity_residual iterations converged")
 
 
 def _complementarity_residual(
@@ -98,29 +97,32 @@ def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarra
     return u
 
 
-def _finalize(problem, u, iters, converged, method, tol_abs, residual) -> VISolution:
+def _finalize(problem, u, iters, converged, tol_abs, residual) -> VISolution:
     free = problem.dofs.free_nodes
     active = free[u[free] <= tol_abs]
-    return VISolution(u, active, residual, iters, converged, method)
+    return VISolution(u, active, residual, iters, converged)
 
 
-def lift_solution(problem: ObstacleProblem, tol: float, method: str) -> VISolution:
+def lift_solution(problem: ObstacleProblem, tol: float) -> VISolution:
     """The lift u = b on every node, in no iteration: the solution of a problem with no load,
     as A's rows sum to zero. It has converged when its complementarity residual is within
-    tol * max(1, ||f||_inf), as a solver's would; `method` names the solver it stands for."""
+    tol * max(1, ||f||_inf), as a solver's would."""
     u = _initial_state(problem, None)
     tol_abs = tol * problem.residual_scale()
     residual = _complementarity_residual(problem, u)
-    return _finalize(problem, u, 0, residual <= tol_abs, method, tol_abs, residual)
+    return _finalize(problem, u, 0, residual <= tol_abs, tol_abs, residual)
 
 
 def solve_reduced(stiffness: sp.dia_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A[nodes, nodes] x = rhs (a PDAS step or an adjoint) by sparse LU on the CSC
     block of the ascending nodes, ordered by minimum degree on A + A^T since A is SPD on free
-    nodes. SuperLU signals overflow or singularity by non-finite values: those raise SolverError."""
+    nodes. SuperLU signals overflow or singularity by non-finite values: those raise SolverError,
+which names the fault that SuperLU's singularity warning would, so that warning is silenced."""
     if not np.all(np.isfinite(rhs)):
         raise SolverError("right-hand side of the reduced system is not finite")
-    x = spla.spsolve(block(stiffness, nodes, nodes), rhs, permc_spec="MMD_AT_PLUS_A")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        x = spla.spsolve(block(stiffness, nodes, nodes), rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(x)):
         raise SolverError("solution of the reduced system is not finite")
     return x
@@ -155,8 +157,8 @@ def solve_psor(
         for c, a_c, f_c, diag_c in colours:
             u[c] = np.maximum(u[c] + omega * (f_c - a_c @ u) / diag_c, 0.0)
         if (residual := _complementarity_residual(problem, u)) <= tol_abs:
-            return _finalize(problem, u, it, True, "psor", tol_abs, residual)
-    return _finalize(problem, u, max_sweeps, False, "psor", tol_abs, residual)
+            return _finalize(problem, u, it, True, tol_abs, residual)
+    return _finalize(problem, u, max_sweeps, False, tol_abs, residual)
 
 
 def solve_pdas(
@@ -189,8 +191,8 @@ def solve_pdas(
             u[inactive] = solve_reduced(a, inactive, f[inactive] - (a @ u)[inactive])
         r = a @ u - f
         if (residual := _complementarity_residual(problem, u, r)) <= tol_abs:
-            return _finalize(problem, u, it, True, "pdas", tol_abs, residual)
-    return _finalize(problem, u, 100, False, "pdas", tol_abs, residual)
+            return _finalize(problem, u, it, True, tol_abs, residual)
+    return _finalize(problem, u, 100, False, tol_abs, residual)
 
 
 def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:
@@ -202,7 +204,7 @@ def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:
     width, coordinates = mesh.nx + 1, mesh.vertices.T
     xs = [repr(x) for x in coordinates[0, :width].tolist()]
     ys = [repr(y) for y in coordinates[1, ::width].tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,u,active\n")
         rows = zip(product(ys, xs), solution.u.tolist(), active.tolist())
         fh.writelines(f"{x},{y},{u!r},{a}\n" for (y, x), u, a in rows)

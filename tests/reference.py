@@ -58,7 +58,7 @@ def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
         u[dirichlet] = b
         u[free] = np.maximum(u_free, 0.0)
         residual = _complementarity_residual(problem, u)
-        return _finalize(problem, u, bits + 1, True, "brute_force", tol, residual)
+        return _finalize(problem, u, bits + 1, True, tol, residual)
     raise SolverError("no KKT-feasible active set found (numerical inconsistency)")
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -107,6 +108,16 @@ def test_config_file_that_is_not_utf8_is_an_invalid_configuration(tmp_path, caps
     assert not out.exists()
 
 
+def test_config_file_that_is_no_mapping_is_an_invalid_configuration(tmp_path, capsys):
+    # a YAML list at the top level names the file and writes nothing
+    cfg, out = tmp_path / "list.yaml", tmp_path / "out"
+    cfg.write_text("- nx: 4\n- b: 0.05\n", encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"invalid configuration: config file {cfg} must contain a mapping\n"
+    assert not out.exists()
+
+
 def test_defaults_without_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["--quiet", "solve"]) == 0
@@ -151,6 +162,39 @@ def test_optimize_nontrivial(tmp_path):
         for l in (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
     ]
     assert all(costs[k + 1] <= costs[k] for k in range(len(costs) - 1))
+
+
+def test_unconverged_optimize_writes_its_outputs_then_exits_2(tmp_path, capsys):
+    # at M = 1e-3 the optimizer stalls at iteration 41 (ROADMAP item 12); every output is
+    # written before the failure is raised, and cost_report.json says it did not converge
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", nx=8, ny=8, gamma1_sides=["left"], b=0.05, g=-50.0, M=1.0e-3,
+        out=str(out),
+    )
+    assert cli.main(["--config", cfg, "--quiet", "optimize"]) == 2
+    assert capsys.readouterr().err == (
+        "solver failure during optimize: optimizer did not converge "
+        "(stalled at iteration 41, gradient norm 2.373e-05)\n"
+    )
+    report = json.loads((out / "cost_report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 41
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert len(trace) == 41 and trace[-1].startswith("40,")  # the stalled step is not taken
+    assert np.loadtxt(out / "control.txt").shape == (81,)
+    assert len((out / "state.csv").read_text().splitlines()) == 82
+
+
+@pytest.mark.parametrize("solver", ["pdas", "psor"])
+@pytest.mark.parametrize("g", [-50.0, 0.0])
+def test_diagnostics_name_the_configured_solver(tmp_path, solver, g):
+    # g = 0 (with q = 0) has the lift u = b as its state, in no iteration, under either solver
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.yaml", nx=4, ny=4, b=0.05, g=g, solver=solver, out=str(out))
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["method"] == solver
+    assert (diag["iterations"] == 0) == (g == 0.0)
 
 
 def test_sweep_smooth_case_passes(tmp_path):
@@ -576,6 +620,21 @@ def test_scan_on_cells_too_thin_for_arpack_reports_no_lambda(tmp_path, capfd, wi
     assert summary["violations"] == 0
 
 
+def test_singular_reduced_system_fails_the_scan_with_one_line(tmp_path, capsys):
+    # on 4x4 cells 1e-100 wide PDAS meets an exactly singular block in trial 0: stderr holds
+    # the failure alone, and no warning is issued, SuperLU's singularity warning included
+    cfg = write_config(
+        tmp_path / "cfg.yaml", domain=[0.0, 0.0, 1.0e-100, 1.0], nx=4, ny=4,
+        gamma1_sides=["bottom"], b=0.05, trials=20, out=str(tmp_path / "out"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", cfg, "--quiet", "scan"]) == 2
+    assert capsys.readouterr().err == (
+        "solver failure during scan: trial 0: solution of the reduced system is not finite\n"
+    )
+
+
 def test_sweep_whose_numbers_overflow_names_the_level(tmp_path, capsys):
     # every input fits the float range, but the state term 1/2 ||u||^2 of the cost does not
     out = tmp_path / "out"
@@ -681,11 +740,16 @@ def test_flux_from_file_matches_constant(tmp_path):
         # a rate needs two levels: one level would be solved with its oracle, then fail its checks
         ("sweep", "levels", {"nx": 4, "ny": 4, "oracle_extra_levels": 2, "value": 1}),
         ("sweep", "optimize_levels", {"nx": 4, "ny": 4, "sweep_control": True, "value": 1}),
+        ("scan", "trials", 0),
+        ("solve", "g", {"type": "file"}),  # no path
+        ("solve", "g", {"type": "file", "path": __file__}),  # a file of no numbers
+        ("solve", "g", {"type": "gauss", "sigma": 0}),
+        ("solve", "q", {"type": "affine", "a": "x"}),
     ],
 )
 def test_config_fault_names_key(tmp_path, capsys, command, key, value):
     extra = {}
-    if isinstance(value, dict) and value.get("type") == "file":
+    if isinstance(value, dict) and "values" in value:  # a nodal file of that many values
         np.savetxt(tmp_path / "q.txt", np.full(value["values"], value.get("fill", 0.0)))
         value = {"type": "file", "path": str(tmp_path / "q.txt")}
     elif isinstance(value, dict) and "type" not in value:  # the value and the keys it needs

@@ -198,6 +198,34 @@ def test_optimize_stops_at_a_stall():
     assert f"stalled at iteration {res.iterations}," in res.failure()
 
 
+def test_failed_line_search_ends_optimize_at_the_last_accepted_step(mesh, monkeypatch):
+    # once iteration 1 is accepted, every trial cost lies above the current one: no trial of
+    # iteration 2 gives the Armijo decrease, and the run stops unconverged, with no stall
+    cost, gradient, adjoints, trials = ControlProblem.cost, ControlProblem.gradient, [], []
+
+    def recording_gradient(self, g, state):
+        adjoints.append(g.copy())
+        return gradient(self, g, state)
+
+    def rising_cost(self, g, state):
+        report = cost(self, g, state)
+        if len(adjoints) < 2:  # the first cost and iteration 1's trials are honest
+            return report
+        trials.append(report)
+        return report._replace(cost=report.cost + 1.0)
+
+    monkeypatch.setattr(ControlProblem, "gradient", recording_gradient)
+    monkeypatch.setattr(ControlProblem, "cost", rising_cost)
+    res = ControlProblem(mesh, CostParams(1.0, 0.0, 0.05)).optimize(-50.0)
+    assert (res.converged, res.stalled, res.iterations, len(trials)) == (False, 0, 2, 60)
+    assert [row.iteration for row in res.trace] == [1]
+    assert res.report.cost == res.trace[-1].cost
+    assert res.gradient_norm == res.trace[-1].gradient_norm
+    assert res.control.tobytes() == adjoints[1].tobytes()
+    assert len(adjoints) == 2  # the failed search computes no gradient
+    assert res.failure() == f"optimizer did not converge (gradient norm {res.gradient_norm:.3e})"
+
+
 def test_optimize_takes_a_converging_step_that_leaves_the_cost_unchanged():
     # iteration 7 reaches the gradient tolerance at a cost equal to iteration 6's to the
     # bit; the stall rule takes such a step, as a converged point ends the run anyway
@@ -438,7 +466,7 @@ def test_no_load_makes_the_lift_the_state_without_a_solve(monkeypatch, solver, g
     state = cp.solve_state(g)
     assert calls == [("ControlProblem", 64)]
     assert state.u.tobytes() == np.full(cp.mesh.num_vertices, 0.05).tobytes()
-    assert (state.iterations, state.converged, state.method) == (0, True, solver)
+    assert (state.iterations, state.converged) == (0, True)
     assert state.active_set.size == 0 and state.complementarity_residual <= 1e-10
 
 
@@ -449,7 +477,7 @@ def test_a_lift_that_misses_the_tolerance_raises_carrying_the_lift():
         cp.solve_state(0.0)
     lift = failed.value.solution
     assert lift.u.tobytes() == np.full(25, 0.05).tobytes()
-    assert (lift.iterations, lift.converged, lift.method) == (0, False, "pdas")
+    assert (lift.iterations, lift.converged) == (0, False)
     assert 0 < lift.complementarity_residual < 1e-16
 
 

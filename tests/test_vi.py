@@ -1,9 +1,11 @@
 import gc
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from reference import brute_force_oracle, verify_vi
@@ -18,7 +20,7 @@ from vicontrol.assembly import (
 from vicontrol.control import ControlProblem, CostParams
 from vicontrol.harness import random_control
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_uniform
-from vicontrol.vi import dump_solution, solve_pdas, solve_psor, solve_reduced
+from vicontrol.vi import SolverError, dump_solution, solve_pdas, solve_psor, solve_reduced
 
 
 def obstacle_problem(mesh, g, q, b):
@@ -189,6 +191,16 @@ def test_solve_reduced_peak_memory_on_the_full_free_set():
     finally:
         tracemalloc.stop()
     assert (peak - before) / (8 * mesh.num_vertices) <= 17
+
+
+def test_singular_reduced_system_raises_without_a_warning():
+    # a zero column makes the block exactly singular: SuperLU's warning would only repeat
+    # what the SolverError says, so none escapes, even where warnings are errors
+    a = sp.dia_matrix((np.array([[1.0, 0.0, 1.0]]), [0]), shape=(3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"^solution of the reduced system is not finite$"):
+            solve_reduced(a, np.arange(3), np.ones(3))
 
 
 def test_psor_not_converged_flagged():
