@@ -274,7 +274,7 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
     write_json(
         out / "diagnostics.json",
         {
-            "converged": bool(sol.converged),
+            "converged": failure is None,
             "iterations": sol.iterations,
             "complementarity_residual": sol.complementarity_residual,
             "active_set_size": int(sol.active_set.size),
@@ -309,13 +309,13 @@ def cmd_optimize(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, q
             "control_term": report.control_term,
             "gradient_norm": res.gradient_norm,
             "iterations": res.iterations,
-            "converged": bool(res.converged),
+            "converged": res.failure is None,
             "control_norm": l2_norm(res.control, cp.mass),
             "control_norm_bound": l2_norm(u0, cp.mass) / params.weight,
         },
     )
-    if not res.converged:  # the outputs above are written first
-        raise SolverError(res.failure())
+    if res.failure:  # the outputs above are written first
+        raise SolverError(res.failure)
     if not quiet:
         print(f"optimized in {res.iterations} iterations, cost {report.cost:.6e}")
     return EXIT_OK

@@ -60,20 +60,11 @@ class CostParams:
 CostReport = namedtuple("CostReport", "cost state_term control_term state")
 
 
-@dataclass
-class OptimizerResult:
-    control: np.ndarray
-    report: CostReport  # of the final control, with its state
-    gradient_norm: float
-    iterations: int
-    converged: bool
-    trace: list[TraceRow]
-    stalled: int  # the iteration whose accepted step left the cost unchanged, or 0
-
-    def failure(self) -> str:
-        """Why the run stopped unconverged, as a SolverError reads it."""
-        stall = f"stalled at iteration {self.stalled}, " if self.stalled else ""
-        return f"optimizer did not converge ({stall}gradient norm {self.gradient_norm:.3e})"
+# an optimizer run: its final control with the CostReport of it, and the gradient norm there,
+# the iterations, the trace of accepted steps and why it stopped unconverged, or None
+OptimizerResult = namedtuple(
+    "OptimizerResult", "control report gradient_norm iterations trace failure"
+)
 
 
 class ControlProblem:
@@ -104,13 +95,13 @@ class ControlProblem:
         )
 
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:
-        """State for control g; raises SolverError, carrying the unconverged solution, when
-        the solver misses params.tol. With no load (g and the flux have no nonzero entry, and
-        g is no callable) the state is the lift u = b, solved in 0 iterations. Otherwise a cold
-        solve (no warm_start) with nx and ny even and at least NESTED_START starts from the
-        state on the mesh with half the cells per side, prolongated (nested iteration), unless
-        that solve raises SolverError: a mere guess, so numpy's floating-point warnings are
-        silenced while it is made."""
+        """State for control g; the solver, or the lift, raises SolverError carrying the
+        unconverged solution when it misses params.tol. With no load (g and the flux have no
+        nonzero entry, and g is no callable) the state is the lift u = b, solved in 0
+        iterations. Otherwise a cold solve (no warm_start) with nx and ny even and at least
+        NESTED_START starts from the state on the mesh with half the cells per side,
+        prolongated (nested iteration), unless that solve raises SolverError: a mere guess, so
+        numpy's floating-point warnings are silenced while it is made."""
         mesh = self.mesh
         loaded = callable(g) or np.any(g) or self.flux.any()  # read before any load is built
         even = mesh.nx % 2 == mesh.ny % 2 == 0
@@ -127,17 +118,10 @@ class ControlProblem:
                 u = ControlProblem(half, params).solve_state(inject(g)).u
                 warm_start = prolongate(half, u, mesh)
         problem = self.as_obstacle_problem(g)
-        if loaded:
-            solver = solve_psor if self.params.solver == "psor" else solve_pdas
-            sol = solver(problem, tol=self.params.tol, u0=warm_start)
-        else:  # A's rows sum to zero, so the lift u = b solves a problem with no load
-            sol = lift_solution(problem, self.params.tol)
-        if not sol.converged:
-            raise SolverError(
-                f"state solve did not converge (residual {sol.complementarity_residual:.3e})",
-                sol,
-            )
-        return sol
+        if not loaded:  # A's rows sum to zero, so the lift u = b solves a problem with no load
+            return lift_solution(problem, self.params.tol)
+        solver = solve_psor if self.params.solver == "psor" else solve_pdas
+        return solver(problem, tol=self.params.tol, u0=warm_start)
 
     def cost(self, g, state: VISolution) -> CostReport:
         """J(g), with `state` g's state from solve_state."""
@@ -170,10 +154,12 @@ class ControlProblem:
         is 1e-4. The run stops converged once the gradient norm is at most
         1e-8 * max(1, ||grad J(g0)||), and unconverged after 500 iterations, a
         failed line search, or a stall: an accepted step whose cost is not below
-        the current one, to a point that has not converged, is not taken, and
-        `stalled` names its iteration. A state solve that misses the tolerance,
-        trial steps included, raises SolverError, and so does a cost or gradient
-        norm that is not finite.
+        the current one, to a point that has not converged, is not taken. The
+        iterate is returned either way, with `failure` None when the run converged
+        and otherwise the reason its callers raise, which names a stall's iteration.
+        The solver raises SolverError for a state solve that misses the tolerance,
+        trial steps included, and optimize for a cost or gradient norm that is not
+        finite.
         """
         g = interpolate(self.mesh, g0).copy()
         staged = SolverError.staged  # a failed solve's reason names its stage and iteration
@@ -189,7 +175,7 @@ class ControlProblem:
 
         trace, alpha, prev_g, prev_grad = [], 1.0, None, None
         converged = converged_at(report.cost, gnorm)
-        it = stalled = 0
+        it, stall = 0, ""
         while not converged and it < 500:
             it += 1
             if prev_g is not None:  # Barzilai-Borwein length, or 1 without positive curvature
@@ -211,18 +197,11 @@ class ControlProblem:
             gnorm_try = l2_norm(grad_try, self.mass)
             converged = converged_at(report_try.cost, gnorm_try)
             if not (converged or report_try.cost < report.cost):
-                stalled = it
+                stall = f"stalled at iteration {it}, "
                 break
             prev_g, prev_grad = g, grad
             g, report, grad, gnorm = g_try, report_try, grad_try, gnorm_try
             trace.append(TraceRow(it, report.cost, gnorm, step, report.state.active_set.size))
-        return OptimizerResult(
-            control=g,
-            report=report,
-            gradient_norm=gnorm,
-            iterations=it,
-            converged=converged,
-            trace=trace,
-            stalled=stalled,
-        )
+        failure = f"optimizer did not converge ({stall}gradient norm {gnorm:.3e})"
+        return OptimizerResult(g, report, gnorm, it, trace, None if converged else failure)
 

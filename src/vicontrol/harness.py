@@ -75,8 +75,8 @@ def _convergence_study(base_mesh, params, levels, oracle_extra_levels, solve, or
     level. Rows hold distances to the oracle on the oracle mesh, the reference
     names it "<oracle> oracle", and rate_h is fitted to the row column named rate_h.
     """
-    if levels < 1 or oracle_extra_levels < 1:
-        raise ValueError("levels and oracle_extra_levels must be >= 1")
+    if levels < 2 or oracle_extra_levels < 1:  # a rate needs two levels
+        raise ValueError("levels must be >= 2 and oracle_extra_levels >= 1")
     solved = []  # (level, mesh, state, control, cost), coarse to fine, then the oracle
     for k in [*range(levels), levels - 1 + oracle_extra_levels]:
         mesh = refine_times(base_mesh, k)
@@ -142,8 +142,8 @@ def run_control_convergence(
 
     def solve(cp):
         res = cp.optimize(0.0)
-        if not res.converged:
-            raise SolverError(res.failure())
+        if res.failure:
+            raise SolverError(res.failure)
         return res.report.state.u, res.control, res.report.cost
 
     return _convergence_study(
@@ -152,12 +152,7 @@ def run_control_convergence(
 
 
 def run_open_problem_scan(
-    mesh: Mesh,
-    params: CostParams,
-    trials: int,
-    mu_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    seed: int = 0,
-    amplitude: float = 10.0,
+    mesh: Mesh, params: CostParams, trials: int, mu_grid, seed: int, amplitude: float
 ) -> tuple[list[OpenProblemRecord], dict]:
     """Randomized search for violations of 0 <= u4(mu) <= u3(mu).
 

@@ -23,8 +23,11 @@ from .mesh import Mesh
 
 
 class SolverError(RuntimeError):
-    """A state solve or the optimizer failed, or a cost or norm overflowed;
-    `solution` is the unconverged state iterate, if any."""
+    """A failed solve, or a number past the float range. `vi` raises it when a state solve
+    misses its tolerance, with the unconverged state as `solution`, and when a load or reduced
+    system is not finite or a free node's diagonal is not positive; the harness and cli raise
+    an optimizer run's `failure`; `optimize`, the harness and the scan raise it for a cost,
+    norm or error that overflows."""
 
     def __init__(self, message: str, solution: VISolution | None = None):
         super().__init__(message)
@@ -68,9 +71,9 @@ class ObstacleProblem:
         return max(1.0, float(np.abs(self.load).max(initial=0.0)))
 
 
-# a state solve's result: the state u, its active set (the free nodes where u = 0), the
-# complementarity residual, the iteration count and whether it met its tolerance
-VISolution = namedtuple("VISolution", "u active_set complementarity_residual iterations converged")
+# a state solve's result, returned only within tolerance: the state u, its active set (the
+# free nodes where u = 0), the complementarity residual and the iteration count
+VISolution = namedtuple("VISolution", "u active_set complementarity_residual iterations")
 
 
 def _complementarity_residual(
@@ -97,20 +100,22 @@ def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarra
     return u
 
 
-def _finalize(problem, u, iters, converged, tol_abs, residual) -> VISolution:
+def _finalize(problem, u, iters, tol_abs, residual) -> VISolution:
+    """The solution u, or SolverError carrying it when its residual misses tol_abs (NaN does)."""
     free = problem.dofs.free_nodes
-    active = free[u[free] <= tol_abs]
-    return VISolution(u, active, residual, iters, converged)
+    sol = VISolution(u, free[u[free] <= tol_abs], residual, iters)
+    if not residual <= tol_abs:
+        raise SolverError(f"state solve did not converge (residual {residual:.3e})", sol)
+    return sol
 
 
 def lift_solution(problem: ObstacleProblem, tol: float) -> VISolution:
     """The lift u = b on every node, in no iteration: the solution of a problem with no load,
-    as A's rows sum to zero. It has converged when its complementarity residual is within
-    tol * max(1, ||f||_inf), as a solver's would."""
+    as A's rows sum to zero. Its complementarity residual is held to tol * max(1, ||f||_inf),
+    as a solver's is."""
     u = _initial_state(problem, None)
     tol_abs = tol * problem.residual_scale()
-    residual = _complementarity_residual(problem, u)
-    return _finalize(problem, u, 0, residual <= tol_abs, tol_abs, residual)
+    return _finalize(problem, u, 0, tol_abs, _complementarity_residual(problem, u))
 
 
 def solve_reduced(stiffness: sp.dia_matrix, nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -137,8 +142,8 @@ def solve_psor(
     2 / (1 + sin(pi / n)) with n = max(nx, ny, 2), Young's optimum for the
     model problem on an n x n grid.
 
-    tol is relative to max(1, ||f||_inf). Returns converged=False (never a
-    silent wrong answer) if 50 sweeps per vertex do not reach the tolerance.
+    tol is relative to max(1, ||f||_inf). Raises SolverError carrying the last
+    sweep (never a silent wrong answer) if 50 sweeps per vertex do not reach it.
     """
     a = problem.stiffness
     diag = a.diagonal()
@@ -157,8 +162,8 @@ def solve_psor(
         for c, a_c, f_c, diag_c in colours:
             u[c] = np.maximum(u[c] + omega * (f_c - a_c @ u) / diag_c, 0.0)
         if (residual := _complementarity_residual(problem, u)) <= tol_abs:
-            return _finalize(problem, u, it, True, tol_abs, residual)
-    return _finalize(problem, u, max_sweeps, False, tol_abs, residual)
+            break
+    return _finalize(problem, u, it, tol_abs, residual)
 
 
 def solve_pdas(
@@ -173,9 +178,10 @@ def solve_pdas(
     steers the path, since the reduced system on the final inactive nodes is
     solved exactly by `solve_reduced`.
 
-    The run stops converged at the first solved state within tolerance: its
+    The run stops at the first solved state within tolerance: its
     complementarity residual max|min(u, A u - f)| over the free nodes is at most
     tol * max(1, ||f||_inf), which is what a solution within tolerance means.
+    Raises SolverError carrying the 100th state if none is.
     """
     free, dirichlet = problem.dofs.free_nodes, problem.dofs.dirichlet_nodes
     a, f, b = problem.stiffness, problem.load, problem.dirichlet_value
@@ -191,8 +197,8 @@ def solve_pdas(
             u[inactive] = solve_reduced(a, inactive, f[inactive] - (a @ u)[inactive])
         r = a @ u - f
         if (residual := _complementarity_residual(problem, u, r)) <= tol_abs:
-            return _finalize(problem, u, it, True, tol_abs, residual)
-    return _finalize(problem, u, 100, False, tol_abs, residual)
+            break
+    return _finalize(problem, u, it, tol_abs, residual)
 
 
 def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:

@@ -5,13 +5,7 @@ variational inequality, and pointwise evaluation of a P1 field."""
 import numpy as np
 
 from vicontrol.mesh import Mesh, _nodal, _p1
-from vicontrol.vi import (
-    ObstacleProblem,
-    SolverError,
-    VISolution,
-    _complementarity_residual,
-    _finalize,
-)
+from vicontrol.vi import ObstacleProblem, SolverError, VISolution, _complementarity_residual
 
 
 def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
@@ -57,8 +51,9 @@ def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
         u = np.zeros(problem.size)
         u[dirichlet] = b
         u[free] = np.maximum(u_free, 0.0)
-        residual = _complementarity_residual(problem, u)
-        return _finalize(problem, u, bits + 1, True, tol, residual)
+        # the active set to the absolute 1e-11, which is not a solver's relative tolerance
+        active = free[u[free] <= tol]
+        return VISolution(u, active, _complementarity_residual(problem, u), bits + 1)
     raise SolverError("no KKT-feasible active set found (numerical inconsistency)")
 
 

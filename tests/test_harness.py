@@ -9,9 +9,12 @@ from vicontrol.assembly import (
     h1_norm,
     l2_norm,
 )
+from vicontrol.cli import RunConfig
 from vicontrol.control import CostParams
 from vicontrol.mesh import build_rectangle_mesh, prolongate, refine_times
 from vicontrol.vi import SolverError, solve_pdas
+
+MU_GRID = RunConfig.mu_grid  # the default mu grid, which the CLI config holds
 
 
 @pytest.fixture
@@ -221,7 +224,7 @@ def test_failed_start_is_skipped(base, monkeypatch):
     levels = [base, refine_times(base, 1)]
     oracle_cp = control.ControlProblem(refine_times(levels[-1], 4), params)
     cold = solve_pdas(oracle_cp.as_obstacle_problem(-50.0))
-    assert cold.converged and cold.active_set.size > 0  # the obstacle is active
+    assert cold.active_set.size > 0  # the obstacle is active
     assert table.oracle_cost == oracle_cp.cost(-50.0, cold).cost
     for row, mesh in zip(table.rows, levels, strict=True):
         u = control.ControlProblem(mesh, params).solve_state(-50.0).u
@@ -241,8 +244,7 @@ def test_control_study_names_its_level(base, monkeypatch):
 
     def unconverged(self, *args, **kwargs):
         res = optimize(self, *args, **kwargs)
-        res.converged = False
-        return res
+        return res._replace(failure="optimizer did not converge (gradient norm 1.000e+00)")
 
     monkeypatch.setattr(control.ControlProblem, "optimize", unconverged)
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
@@ -272,7 +274,7 @@ def test_control_convergence_rows_match_cold_optimize_runs(base):
     assert table.rate_h == harness.fit_rate(hs, [r.control_distance for r in table.rows])
 
 
-@pytest.mark.parametrize("levels, extra", [(0, 1), (2, 0)])
+@pytest.mark.parametrize("levels, extra", [(0, 1), (2, 0), (1, 1)])  # a rate needs two levels
 def test_convergence_studies_reject_empty_hierarchy(base, levels, extra):
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
     with pytest.raises(ValueError):
@@ -299,7 +301,7 @@ def test_control_convergence_decreasing(base):
 def test_lipschitz_check_bound():
     mesh = build_rectangle_mesh(6, 6, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=1.0)
-    _, summary = harness.run_open_problem_scan(mesh, params, trials=10, mu_grid=(0.5,), seed=3)
+    _, summary = harness.run_open_problem_scan(mesh, params, 10, (0.5,), seed=3, amplitude=10.0)
     assert summary["worst_lipschitz_ratio"] <= 1.0 + 1e-9
 
     # the same pairs, drawn and solved one by one: the worst ratio agrees to the bit
@@ -338,7 +340,7 @@ def test_scan_names_the_state_solve_that_failed(monkeypatch, failing_call, stage
     mesh = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.05)
     with pytest.raises(SolverError) as info:
-        harness.run_open_problem_scan(mesh, params, trials=2, mu_grid=(0.5,))
+        harness.run_open_problem_scan(mesh, params, 2, (0.5,), seed=0, amplitude=10.0)
     assert str(info.value) == f"{stage}: state solve did not converge (residual 1.000e+00)"
     assert info.value.solution is calls[-1]
 
@@ -346,7 +348,7 @@ def test_scan_names_the_state_solve_that_failed(monkeypatch, failing_call, stage
 def test_lipschitz_check_validates_trials():
     mesh = build_rectangle_mesh(2, 2)
     with pytest.raises(ValueError, match="trials"):
-        harness.run_open_problem_scan(mesh, CostParams(weight=1.0), trials=0)
+        harness.run_open_problem_scan(mesh, CostParams(weight=1.0), 0, MU_GRID, 0, 10.0)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -1.0, 1.0e-200])
@@ -364,9 +366,9 @@ def test_lipschitz_check_validates_amplitude(amplitude, monkeypatch):
     mesh, params = build_rectangle_mesh(2, 2), CostParams(weight=1.0)
     if amplitude < 0:
         with pytest.raises(ValueError, match="amplitude"):
-            harness.run_open_problem_scan(mesh, params, trials=3, amplitude=amplitude)
+            harness.run_open_problem_scan(mesh, params, 3, MU_GRID, 0, amplitude)
         return
-    _, summary = harness.run_open_problem_scan(mesh, params, 3, (0.5,), amplitude=amplitude)
+    _, summary = harness.run_open_problem_scan(mesh, params, 3, (0.5,), 0, amplitude)
     assert summary["lambda_h"] > 0
     assert summary["worst_lipschitz_ratio"] is None
 
@@ -375,7 +377,7 @@ def test_open_problem_scan_endpoints_and_identical_controls():
     mesh = build_rectangle_mesh(3, 3, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
     records, summary = harness.run_open_problem_scan(
-        mesh, params, trials=5, mu_grid=(0.0, 1.0), seed=7
+        mesh, params, trials=5, mu_grid=(0.0, 1.0), seed=7, amplitude=10.0
     )
     # at the endpoints u3 and u4 coincide: no margins below roundoff
     for r in records:
@@ -389,7 +391,7 @@ def test_open_problem_scan_summary_and_implication():
     mesh = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
     records, summary = harness.run_open_problem_scan(
-        mesh, params, trials=10, mu_grid=(0.25, 0.5, 0.75), seed=11
+        mesh, params, trials=10, mu_grid=(0.25, 0.5, 0.75), seed=11, amplitude=10.0
     )
     assert summary["records"] == 30
     assert summary["implication_holds"]
@@ -419,14 +421,14 @@ def test_scan_rejects_bad_mu(mu_grid, monkeypatch):
     monkeypatch.setattr(harness.ControlProblem, "solve_state", lambda *_: pytest.fail("solved"))
     mesh = build_rectangle_mesh(2, 2)
     with pytest.raises(ValueError, match="mu_grid"):
-        harness.run_open_problem_scan(mesh, CostParams(weight=1.0), trials=1, mu_grid=mu_grid)
+        harness.run_open_problem_scan(mesh, CostParams(weight=1.0), 1, mu_grid, 0, 10.0)
 
 
 def test_experiments_deterministic_given_seed():
     mesh = build_rectangle_mesh(4, 4, gamma1_sides=("left",))
     params = CostParams(weight=1.0, flux=0.0, dirichlet=0.5)
-    r1, s1 = harness.run_open_problem_scan(mesh, params, trials=5, mu_grid=(0.5,), seed=42)
-    r2, s2 = harness.run_open_problem_scan(mesh, params, trials=5, mu_grid=(0.5,), seed=42)
+    r1, s1 = harness.run_open_problem_scan(mesh, params, 5, (0.5,), seed=42, amplitude=10.0)
+    r2, s2 = harness.run_open_problem_scan(mesh, params, 5, (0.5,), seed=42, amplitude=10.0)
     assert repr(r1) == repr(r2)
     assert s1 == s2  # the worst Lipschitz ratio included
 
