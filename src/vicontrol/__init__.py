@@ -2,14 +2,12 @@
 the quadratic cost over distributed controls, and convergence experiments."""
 
 from .assembly import (
-    DofMap,
     assemble_boundary_flux,
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
     boundary_l2_norm,
     coercivity_constant,
-    dof_map,
     h1_norm,
     l2_norm,
 )

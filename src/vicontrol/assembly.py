@@ -7,44 +7,11 @@ convergence studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import SIDES, Mesh, interpolate
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Partition of vertex indices into Dirichlet (on Gamma1) and free nodes.
-
-    Corner vertices shared by Gamma1 and Gamma2 edges count as Dirichlet.
-    colours splits the free nodes into red and black, those whose grid row
-    plus column is even and odd: the 5-point stiffness couples only nodes of
-    opposite colour; it is derived on every read, so a DofMap holds only node arrays.
-    """
-
-    dirichlet_nodes: np.ndarray
-    free_nodes: np.ndarray
-    width: int  # vertices per grid row
-
-    @property
-    def colours(self) -> tuple[np.ndarray, np.ndarray]:
-        black = np.add(*np.divmod(self.free_nodes, self.width)) % 2 == 1  # row + column odd
-        return self.free_nodes[~black], self.free_nodes[black]
-
-
-def dof_map(mesh: Mesh) -> DofMap:
-    on_gamma1 = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
-    for side in mesh.gamma1_sides:
-        on_gamma1[SIDES[side]] = True
-    return DofMap(
-        dirichlet_nodes=np.flatnonzero(on_gamma1),
-        free_nodes=np.flatnonzero(~on_gamma1),
-        width=mesh.nx + 1,
-    )
 
 
 # local vertices of a cell's lower and upper triangle, as (row, column) corners
@@ -185,19 +152,27 @@ def boundary_l2_norm(v: np.ndarray, boundary_mass: sp.csr_matrix) -> float:
     return l2_norm(v, boundary_mass)
 
 
-def coercivity_constant(a: sp.dia_matrix, m: sp.dia_matrix, free: np.ndarray) -> float:
+def coercivity_constant(a: sp.dia_matrix, m: sp.dia_matrix, free: np.ndarray) -> float | None:
     """Discrete coercivity constant of the stiffness form on the free nodes.
 
     Smallest eigenvalue of A x = lambda (A + M_H) x restricted to the free
     nodes (those off Gamma1), by shift-invert Lanczos about 0 from a fixed
     start vector. By the Rayleigh characterization, a(v, v) >= lambda *
-    ||v||_V^2 for all discrete v vanishing on Gamma1.
+    ||v||_V^2 for all discrete v vanishing on Gamma1. None where lambda_h is
+    undefined: no free node (Gamma1 covers every vertex), or cells too thin for
+    ARPACK's arithmetic, where it fails or gives lambda <= 0 (a Rayleigh quotient
+    of SPD forms is > 0).
     """
     if free.size == 0:
-        raise ValueError("no free nodes: Gamma1 covers every vertex")
+        return None
     a_ff = block(a, free, free)
     b_ff = a_ff + block(m, free, free)
     if free.size == 1:  # eigsh needs k < N
-        return float(a_ff[0, 0] / b_ff[0, 0])
-    lam = spla.eigsh(a_ff, k=1, M=b_ff, sigma=0, v0=np.ones(free.size), return_eigenvectors=False)
-    return float(lam[0])
+        lam = a_ff[0, 0] / b_ff[0, 0]
+    else:
+        v0 = np.ones(free.size)
+        try:
+            lam = spla.eigsh(a_ff, k=1, M=b_ff, sigma=0, v0=v0, return_eigenvectors=False)[0]
+        except spla.ArpackError:
+            return None
+    return float(lam) if lam > 0 else None

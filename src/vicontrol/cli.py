@@ -20,7 +20,7 @@ from . import harness
 from .assembly import l2_norm
 from .control import ControlProblem, CostParams, TraceRow
 from .harness import write_json, write_lines
-from .mesh import Mesh, build_rectangle_mesh
+from .mesh import Mesh, build_rectangle_mesh, interpolate
 from .vi import SolverError, dump_solution
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ class RunConfig:
 
         # parse q and g once, and bound |q| and |g| over the domain and the controls a scan draws
         specs, sup = {}, {"q": 0.0, "g": 0.0, "amplitude": self.amplitude}
-        vertices, (x0, y0, x1, y1) = mesh.num_vertices, self.domain
+        x0, y0, x1, y1 = self.domain
         for name in ("q", "g"):
             try:
                 spec = specs[name] = make_field_spec(getattr(self, name))
@@ -139,16 +139,15 @@ class RunConfig:
                     # every sweep level interpolates q and g on its own mesh: a nodal file cannot
                     if command == "sweep":
                         raise ConfigError("sweep needs a functional spec (constant/affine/gauss)")
-                    if spec.shape != (vertices,):
-                        raise ConfigError(f"nodal file has {spec.size} values, mesh has {vertices}")
+                    interpolate(mesh, spec)  # the mesh's own check of its shape and finiteness
                 # an affine field takes its extremes at the corners, a gauss at its peak
                 values = np.ravel(spec) if not callable(spec) else np.array(
                     [spec(x, y) for x in (x0, x1) for y in (y0, y1)] + [getattr(spec, "peak", 0.0)]
                 )
                 if not np.isfinite(values).all():
-                    raise ConfigError("value at a corner of the domain or a node is not finite")
+                    raise ConfigError("value at a corner of the domain is not finite")
                 sup[name] = float(np.abs(values).max(initial=0.0))
-            except (ConfigError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError) as exc:  # ConfigError is a ValueError
                 problems.append(f"{name}: {exc}")
         g_key = max(("g", "amplitude"), key=sup.get)
         dx, dy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
@@ -287,7 +286,7 @@ def cmd_solve(cfg: RunConfig, out: Path, mesh: Mesh, params: CostParams, g, quie
     if not quiet:
         print(
             f"solved in {sol.iterations} iterations, "
-            f"active set {sol.active_set.size}/{cp.dofs.free_nodes.size} free nodes"
+            f"active set {sol.active_set.size}/{mesh.free_nodes.size} free nodes"
         )
     return EXIT_OK
 

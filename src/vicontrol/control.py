@@ -20,10 +20,9 @@ from .assembly import (
     assemble_boundary_flux,
     assemble_mass,
     assemble_stiffness,
-    dof_map,
     l2_norm,
 )
-from .mesh import SIDES, Mesh, build_rectangle_mesh, interpolate, prolongate
+from .mesh import Mesh, build_rectangle_mesh, interpolate, prolongate
 from .vi import (
     ObstacleProblem, SolverError, VISolution, lift_solution, solve_pdas, solve_psor, solve_reduced
 )
@@ -70,29 +69,19 @@ OptimizerResult = namedtuple(
 class ControlProblem:
     """The discrete state problem and cost at one mesh: caches the assembled
     operators and is the one place that builds and solves a state problem.
-    `flux` is F_q on its support, the Gamma2 vertices `gamma2` (ascending)."""
+    `flux` is F_q on its support, the mesh's Gamma2 vertices `gamma2_nodes`."""
 
     def __init__(self, mesh: Mesh, params: CostParams):
         self.mesh = mesh
         self.params = params
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_mass(mesh)
-        on_gamma2 = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
-        for side in SIDES.keys() - mesh.gamma1_sides:
-            on_gamma2[SIDES[side]] = True
-        self.gamma2 = np.flatnonzero(on_gamma2)
-        self.flux = assemble_boundary_flux(mesh, params.flux)[self.gamma2]
-        self.dofs = dof_map(mesh)
+        self.flux = assemble_boundary_flux(mesh, params.flux)[mesh.gamma2_nodes]
 
     def as_obstacle_problem(self, g) -> ObstacleProblem:
         load = self.mass @ interpolate(self.mesh, g)
-        load[self.gamma2] -= self.flux  # off Gamma2, x - 0.0 is x to the bit
-        return ObstacleProblem(
-            stiffness=self.stiffness,
-            load=load,
-            dirichlet_value=self.params.dirichlet,
-            dofs=self.dofs,
-        )
+        load[self.mesh.gamma2_nodes] -= self.flux  # off Gamma2, x - 0.0 is x to the bit
+        return ObstacleProblem(self.stiffness, load, self.params.dirichlet, self.mesh)
 
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:
         """State for control g; the solver, or the lift, raises SolverError carrying the
@@ -114,9 +103,10 @@ class ControlProblem:
                 return np.reshape(v, (mesh.ny + 1, mesh.nx + 1))[::2, ::2].ravel()
 
             params = replace(self.params, flux=inject(self.params.flux))
-            with suppress(SolverError), np.errstate(all="ignore"):  # u taken, the half mesh goes
+            with suppress(SolverError), np.errstate(all="ignore"):
                 u = ControlProblem(half, params).solve_state(inject(g)).u
                 warm_start = prolongate(half, u, mesh)
+            half = u = None  # the half mesh, its cached node sets and its state are not held
         problem = self.as_obstacle_problem(g)
         if not loaded:  # A's rows sum to zero, so the lift u = b solves a problem with no load
             return lift_solution(problem, self.params.tol)
@@ -139,7 +129,7 @@ class ControlProblem:
         """
         g = interpolate(self.mesh, g)
         # both ascending without repeats: the active set is cut from the free nodes
-        inactive = np.setdiff1d(self.dofs.free_nodes, state.active_set, assume_unique=True)
+        inactive = np.setdiff1d(self.mesh.free_nodes, state.active_set, assume_unique=True)
         p = np.zeros(self.mesh.num_vertices)
         if inactive.size:
             p[inactive] = solve_reduced(self.stiffness, inactive, (self.mass @ state.u)[inactive])

@@ -6,11 +6,14 @@ stores that grid alone and derives h, its vertices and triangles when read, so
 it compares and hashes by value; a level number belongs to the study that
 refines it, not to the mesh. The Dirichlet boundary Gamma1 is a nonempty union
 of whole rectangle sides; the rest of the boundary is the Neumann part Gamma2.
+The mesh is the one owner of its Dirichlet, free and Gamma2 vertices, which it
+derives from the grid and caches when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +25,8 @@ SIDES = {"left": (slice(None), 0), "right": (slice(None), -1), "bottom": 0, "top
 class Mesh:
     """Conforming P1 triangulation of a rectangle, stored as its grid alone: h
     is derived from the grid, and a level in a refinement hierarchy is counted
-    by the convergence study that builds it.
+    by the convergence study that builds it. Its node sets are cached beside the
+    grid, outside the fields that equality and hashing compare.
 
     gamma1_sides   : the sides (keys of SIDES) that make up Gamma1
     """
@@ -58,6 +62,31 @@ class Mesh:
         v00 = (np.arange(self.ny, dtype=np.int64)[:, None] * s + np.arange(self.nx)).ravel()
         # corner offsets from v00 of both children of the diagonal v00 -> v00+s+1
         return (v00[:, None, None] + np.array([[0, 1, s + 1], [0, s + 1, s]])).reshape(-1, 3)
+
+    def _nodes(self, sides, on=True) -> np.ndarray:
+        """Ascending vertices on any of `sides`, or with on=False on none of them; read-only,
+        as every solve on the mesh shares the cached array."""
+        mask = np.zeros((self.ny + 1, self.nx + 1), dtype=bool)
+        for side in sides:
+            mask[SIDES[side]] = True
+        nodes = np.flatnonzero(mask == on)
+        nodes.flags.writeable = False
+        return nodes
+
+    @cached_property
+    def dirichlet_nodes(self) -> np.ndarray:
+        """Ascending vertices on Gamma1, the corners it shares with Gamma2 included."""
+        return self._nodes(self.gamma1_sides)
+
+    @cached_property
+    def free_nodes(self) -> np.ndarray:
+        """Ascending vertices off Gamma1: the unknowns of the state problem."""
+        return self._nodes(self.gamma1_sides, on=False)
+
+    @cached_property
+    def gamma2_nodes(self) -> np.ndarray:
+        """Ascending vertices on Gamma2, the support of the flux load F_q."""
+        return self._nodes(SIDES.keys() - self.gamma1_sides)
 
 
 def build_rectangle_mesh(nx, ny, domain=(0.0, 0.0, 1.0, 1.0), gamma1_sides=("left",)):

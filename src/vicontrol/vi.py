@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import DofMap, block
+from .assembly import block
 from .mesh import Mesh
 
 
@@ -49,13 +49,13 @@ class ObstacleProblem:
     stiffness : global stiffness matrix A: symmetric, its 5-point stencil in DIA
     load      : f = M_H g - F_q (full-length vector; F_q lives on Gamma2)
     dirichlet_value : boundary temperature b >= 0
-    dofs      : Dirichlet/free node partition
+    mesh      : the mesh solved on, whose Dirichlet and free nodes the solvers read
     """
 
     stiffness: sp.dia_matrix
     load: np.ndarray
     dirichlet_value: float
-    dofs: DofMap
+    mesh: Mesh
 
     def __post_init__(self):
         if self.dirichlet_value < 0:
@@ -81,7 +81,7 @@ def _complementarity_residual(
 ) -> float:
     """Max-norm of min(u, A u - f) over the free nodes (0 at the solution);
     r is A u - f where the caller already has it."""
-    free = problem.dofs.free_nodes
+    free = problem.mesh.free_nodes
     r = problem.stiffness @ u - problem.load if r is None else r
     gathered = u[free]  # a copy of its own, which the rest works in
     np.minimum(gathered, r[free], out=gathered)
@@ -96,13 +96,13 @@ def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarra
         if u.shape != (problem.size,):
             raise ValueError("starting vector has wrong length")
         np.maximum(u, 0.0, out=u)
-    u[problem.dofs.dirichlet_nodes] = problem.dirichlet_value
+    u[problem.mesh.dirichlet_nodes] = problem.dirichlet_value
     return u
 
 
 def _finalize(problem, u, iters, tol_abs, residual) -> VISolution:
     """The solution u, or SolverError carrying it when its residual misses tol_abs (NaN does)."""
-    free = problem.dofs.free_nodes
+    free = problem.mesh.free_nodes
     sol = VISolution(u, free[u[free] <= tol_abs], residual, iters)
     if not residual <= tol_abs:
         raise SolverError(f"state solve did not converge (residual {residual:.3e})", sol)
@@ -137,26 +137,27 @@ def solve_psor(
     problem: ObstacleProblem, tol: float = 1e-10, u0: np.ndarray | None = None
 ) -> VISolution:
     """Projected SOR sweeps over the free nodes with projection max(., 0), in
-    red-black order: the stiffness couples a colour only to the other one, so
-    each colour's Gauss-Seidel half-sweep is one array update. omega is
+    red-black order, the free nodes whose grid row plus column is even and odd,
+    split afresh on each call: the stiffness couples a colour only to the other
+    one, so each colour's Gauss-Seidel half-sweep is one array update. omega is
     2 / (1 + sin(pi / n)) with n = max(nx, ny, 2), Young's optimum for the
     model problem on an n x n grid.
 
     tol is relative to max(1, ||f||_inf). Raises SolverError carrying the last
     sweep (never a silent wrong answer) if 50 sweeps per vertex do not reach it.
     """
-    a = problem.stiffness
+    a, mesh, free = problem.stiffness, problem.mesh, problem.mesh.free_nodes
     diag = a.diagonal()
-    if np.any(diag[problem.dofs.free_nodes] <= 0):
+    if np.any(diag[free] <= 0):
         raise SolverError("nonpositive diagonal on a free node")
     f = problem.load
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()
     every = np.arange(problem.size)
-    colours = [(c, block(a, c, every), f[c], diag[c]) for c in problem.dofs.colours]
+    black = np.add(*np.divmod(free, mesh.nx + 1)) % 2 == 1  # grid row + column odd
+    colours = [(c, block(a, c, every), f[c], diag[c]) for c in (free[~black], free[black])]
     max_sweeps = 50 * problem.size
-    width = problem.dofs.width  # nx + 1 vertices per grid row, of ny + 1 rows
-    omega = 2.0 / (1.0 + np.sin(np.pi / max(width - 1, problem.size // width - 1, 2)))
+    omega = 2.0 / (1.0 + np.sin(np.pi / max(mesh.nx, mesh.ny, 2)))
 
     for it in range(1, max_sweeps + 1):
         for c, a_c, f_c, diag_c in colours:
@@ -183,7 +184,7 @@ def solve_pdas(
     tol * max(1, ||f||_inf), which is what a solution within tolerance means.
     Raises SolverError carrying the 100th state if none is.
     """
-    free, dirichlet = problem.dofs.free_nodes, problem.dofs.dirichlet_nodes
+    free, dirichlet = problem.mesh.free_nodes, problem.mesh.dirichlet_nodes
     a, f, b = problem.stiffness, problem.load, problem.dirichlet_value
     u = _initial_state(problem, u0)
     tol_abs = tol * problem.residual_scale()

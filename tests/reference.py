@@ -16,8 +16,8 @@ def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
     the unique feasible partition gives the solution. Only for problems with
     at most 16 free nodes.
     """
-    free = problem.dofs.free_nodes
-    dirichlet = problem.dofs.dirichlet_nodes
+    free = problem.mesh.free_nodes
+    dirichlet = problem.mesh.dirichlet_nodes
     n = free.size
     if n > 16:
         raise ValueError(f"brute force limited to 16 free nodes, got {n}")
@@ -73,7 +73,7 @@ def verify_vi(problem: ObstacleProblem, solution: VISolution, probes: list[np.nd
             raise ValueError(f"probe {k} has wrong length")
         if np.any(v < -1e-9):
             raise ValueError(f"probe {k} violates v >= 0")
-        if np.any(np.abs(v[problem.dofs.dirichlet_nodes] - b) > 1e-9):
+        if np.any(np.abs(v[problem.mesh.dirichlet_nodes] - b) > 1e-9):
             raise ValueError(f"probe {k} violates v = b on Gamma1")
         worst = min(worst, float(residual @ (v - u)))
     return worst

@@ -166,7 +166,7 @@ def test_08_cost_coercivity_and_minimizer_bound():
     for weight in (1.0, 1e3):
         params = CostParams(weight=weight, flux=0.0, dirichlet=1.0)
         cp = ControlProblem(mesh, params)
-        lam = coercivity_constant(cp.stiffness, cp.mass, cp.dofs.free_nodes)
+        lam = coercivity_constant(cp.stiffness, cp.mass, cp.mesh.free_nodes)
         u0_norm = l2_norm(cp.solve_state(np.zeros(mesh.num_vertices)).u, cp.mass)
         c = u0_norm / lam
         for _ in range(50):
@@ -198,7 +198,7 @@ def test_09_adjoint_gradient_matches_finite_differences():
         )
         g = bump + rng.uniform(-1, 1, mesh.num_vertices)
         state = cp.solve_state(g)
-        if not 0 < state.active_set.size < cp.dofs.free_nodes.size:
+        if not 0 < state.active_set.size < cp.mesh.free_nodes.size:
             continue
         dirs = [rng.normal(size=mesh.num_vertices) for _ in range(10)]
         dirs = [d / np.linalg.norm(d) for d in dirs]

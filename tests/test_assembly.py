@@ -14,7 +14,6 @@ from vicontrol.assembly import (
     block,
     boundary_l2_norm,
     coercivity_constant,
-    dof_map,
     h1_norm,
     l2_norm,
 )
@@ -111,7 +110,7 @@ def test_structured_assembly_matches_element_reference(shape, domain, sides):
             assert np.array_equal(got.data, ref.data)
         else:
             assert np.all(np.abs(got.data - ref.data) <= 1e-15 * np.abs(ref.data))
-    assert np.array_equal(dof_map(mesh).dirichlet_nodes, dirichlet_ref)
+    assert np.array_equal(mesh.dirichlet_nodes, dirichlet_ref)
     # A and M_H are held as their 5 and 7 grid diagonals, and their products are
     # CSR's to the bit, also on exact zeros and on -0.0 (the off-grid zeros they
     # store add +0.0)
@@ -153,8 +152,9 @@ def test_block_from_the_diagonals_is_the_csr_slice(shape, domain, sides):
     # array for array, dtypes included, so SuperLU, eigsh and PSOR get the same input and bits
     mesh = build_rectangle_mesh(*shape, domain, sides)
     a, mh = assemble_stiffness(mesh), assemble_mass(mesh)
-    dofs, every = dof_map(mesh), np.arange(mesh.num_vertices)
-    free = dofs.free_nodes
+    every, free = np.arange(mesh.num_vertices), mesh.free_nodes
+    black = np.add(*np.divmod(free, mesh.nx + 1)) % 2 == 1  # solve_psor's colours
+    colours = free[~black], free[black]
     rng = np.random.default_rng(mesh.num_vertices)
     subsets = [free, free[:1], free[-1:], every]
     sizes = rng.integers(1, free.size + 1, 3) if free.size else []  # Gamma1 may be every vertex
@@ -162,7 +162,7 @@ def test_block_from_the_diagonals_is_the_csr_slice(shape, domain, sides):
     # square blocks of A and of M_H, the Dirichlet columns on every row, and each
     # colour's rows on every column, which PSOR sweeps with
     cuts = [(matrix, nodes, nodes) for matrix in (a, mh) for nodes in subsets]
-    cuts += [(a, every, dofs.dirichlet_nodes), *((a, c, every) for c in dofs.colours)]
+    cuts += [(a, every, mesh.dirichlet_nodes), *((a, c, every) for c in colours)]
     for matrix, rows, cols in cuts:
         got, ref = block(matrix, rows, cols), matrix.tocsr()[np.ix_(rows, cols)].tocsc()
         assert got.format == ref.format == "csc" and got.shape == ref.shape
@@ -172,7 +172,7 @@ def test_block_from_the_diagonals_is_the_csr_slice(shape, domain, sides):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     # a colour's half-sweep product equals that of its CSR rows, to the bit
     v = rng.standard_normal(mesh.num_vertices)
-    for c in dofs.colours:
+    for c in colours:
         assert (block(a, c, every) @ v).tobytes() == (a.tocsr()[c] @ v).tobytes()
 
 
@@ -267,46 +267,8 @@ def test_symmetry_and_definiteness():
 def test_restricted_stiffness_positive_definite():
     m = build_rectangle_mesh(3, 3)
     a = assemble_stiffness(m).tocsr()
-    free = dof_map(m).free_nodes
+    free = m.free_nodes
     sla.cholesky(a[np.ix_(free, free)].toarray())
-
-
-def test_dof_map_partition_and_corners():
-    m = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
-    dm = dof_map(m)
-    assert sorted(np.concatenate([dm.dirichlet_nodes, dm.free_nodes])) == list(range(9))
-    # left side nodes: x == 0, including the two corners
-    assert np.all(m.vertices[dm.dirichlet_nodes, 0] == 0.0)
-    assert dm.dirichlet_nodes.size == 3
-
-
-def test_dof_map_keeps_only_its_node_arrays():
-    mesh = build_rectangle_mesh(256, 256)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        dm = dof_map(mesh)
-        gc.collect()
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    # the Dirichlet and free nodes hold one int64 per vertex between them; stored
-    # colours would hold another one per free node
-    assert after - before <= 8 * mesh.num_vertices + 4096
-    assert dm.dirichlet_nodes.size + dm.free_nodes.size == mesh.num_vertices
-
-
-def test_dof_map_colours_split_free_nodes():
-    grids = [(2, 2, ("left",)), (7, 2, ("right",)), (2, 7, ("top", "bottom")), (1, 1, ("top",))]
-    for nx, ny, sides in grids:
-        m = build_rectangle_mesh(nx, ny, gamma1_sides=sides)
-        dm = dof_map(m)
-        # every free node in exactly one colour
-        assert np.array_equal(np.sort(np.concatenate(dm.colours)), dm.free_nodes)
-        a = assemble_stiffness(m).tocsr()
-        for nodes in dm.colours:
-            block = a[np.ix_(nodes, nodes)]
-            assert block.nnz == nodes.size and np.all(block.diagonal() > 0)
 
 
 def test_boundary_flux_zero_and_total():
@@ -397,7 +359,7 @@ def test_coercivity_in_unit_interval_and_dense_crosscheck():
         build_rectangle_mesh(2, 2, gamma1_sides=("left",)),
         build_rectangle_mesh(1, 1, gamma1_sides=("left", "bottom")),
     ):
-        a, mh, free = assemble_stiffness(m), assemble_mass(m), dof_map(m).free_nodes
+        a, mh, free = assemble_stiffness(m), assemble_mass(m), m.free_nodes
         lam = coercivity_constant(a, mh, free)
         assert 0.0 < lam < 1.0
         a, mh = a.tocsr(), mh.toarray()
@@ -412,7 +374,21 @@ def test_coercivity_nonincreasing_under_refinement():
     lams = []
     for _ in range(3):
         a, mh = assemble_stiffness(m), assemble_mass(m)
-        lams.append(coercivity_constant(a, mh, dof_map(m).free_nodes))
+        lams.append(coercivity_constant(a, mh, m.free_nodes))
         m = refine_uniform(m)
     assert lams[0] >= lams[1] >= lams[2]
 
+
+
+@pytest.mark.parametrize(
+    "n, domain, sides",
+    [
+        (1, (0.0, 0.0, 1.0, 1.0), ("left", "right", "bottom", "top")),  # no free node
+        (8, (0.0, 0.0, 1.0e-100, 1.0), ("bottom",)),  # ARPACK raises ArpackError
+        (8, (0.0, 0.0, 8.0e-150, 1.0), ("bottom",)),  # ARPACK returns lambda < 0
+    ],
+    ids=["no-free-node", "arpack-error", "negative"],
+)
+def test_coercivity_constant_is_none_where_lambda_h_is_undefined(n, domain, sides):
+    m = build_rectangle_mesh(n, n, domain, sides)
+    assert coercivity_constant(assemble_stiffness(m), assemble_mass(m), m.free_nodes) is None

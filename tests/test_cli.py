@@ -330,6 +330,20 @@ def test_field_spec_file_wrong_length(tmp_path):
     assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
 
 
+def test_nodal_file_of_several_columns_is_rejected_by_its_shape(tmp_path, capsys):
+    # 81 values for the 81 vertices of 8x8, but in three columns: the mesh's own check names
+    # the shape read and the one expected
+    np.savetxt(tmp_path / "g.txt", np.zeros((27, 3)))
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", g={"type": "file", "path": str(tmp_path / "g.txt")}, out=str(out)
+    )
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid configuration: g: field has shape (27, 3), expected (81,)\n"
+    assert not out.exists()
+
+
 def test_solver_nonconvergence_exit_code(tmp_path, capsys):
     # PDAS stalls at a residual near 1e-15, far above the requested tolerance
     cfg = write_config(

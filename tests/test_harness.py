@@ -307,7 +307,7 @@ def test_lipschitz_check_bound():
     # the same pairs, drawn and solved one by one: the worst ratio agrees to the bit
     cp = control.ControlProblem(mesh, params)
     a, m = cp.stiffness, cp.mass
-    lam = coercivity_constant(a, m, cp.dofs.free_nodes)
+    lam = coercivity_constant(a, m, cp.mesh.free_nodes)
     rng = np.random.default_rng(3)
     ratios = []
     for _ in range(10):

@@ -7,7 +7,7 @@ import pytest
 
 from reference import evaluate_p1
 from vicontrol import mesh as msh
-from vicontrol.assembly import dof_map
+from vicontrol.control import ControlProblem, CostParams
 from vicontrol.mesh import build_rectangle_mesh, interpolate, prolongate, refine_uniform
 
 
@@ -100,9 +100,48 @@ def test_mesh_keeps_no_per_vertex_array():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # a 257x257 vertex array alone is 1 MB
+    # a 257x257 vertex array alone is 1 MB; the node sets are cached only once read
     assert after - before <= 4096
     assert [m.num_vertices for m in meshes] == [257 * 257] * 2
+
+
+def test_node_sets_partition_the_vertices_with_the_corners_on_gamma1():
+    m = build_rectangle_mesh(2, 2, gamma1_sides=("left",))
+    assert sorted(np.concatenate([m.dirichlet_nodes, m.free_nodes])) == list(range(9))
+    # left side nodes: x == 0, including the two corners
+    assert np.all(m.vertices[m.dirichlet_nodes, 0] == 0.0)
+    assert m.dirichlet_nodes.size == 3
+    # Gamma2 is the other three sides, the corners it shares with Gamma1 included
+    assert m.gamma2_nodes.tolist() == [0, 1, 2, 5, 6, 7, 8]
+    whole = build_rectangle_mesh(1, 1, gamma1_sides=("left", "right", "bottom", "top"))
+    assert whole.free_nodes.size == whole.gamma2_nodes.size == 0
+
+
+def test_mesh_caches_exactly_its_three_node_arrays():
+    # a solve reads the node sets, which the mesh caches beside its grid and nothing else,
+    # PSOR's colours included; equality and hashing still read the grid alone
+    grid = [f.name for f in fields(msh.Mesh)]
+    for solver in ("pdas", "psor"):
+        solved = build_rectangle_mesh(6, 4, (0, 0, 2, 1), ("left", "top"))
+        fresh = build_rectangle_mesh(6, 4, (0, 0, 2, 1), ("top", "left"))
+        ControlProblem(solved, CostParams(1.0, 0.5, 0.3, solver)).solve_state(-20.0)
+        cached = sorted([*grid, "dirichlet_nodes", "free_nodes", "gamma2_nodes"])
+        assert sorted(vars(solved)) == cached and sorted(vars(fresh)) == sorted(grid)
+        assert solved == fresh and hash(solved) == hash(fresh)
+    # in memory: the Dirichlet and free nodes hold one int64 per vertex between them, and
+    # Gamma2 one per vertex on its three sides; stored colours would hold one per free node
+    mesh = build_rectangle_mesh(256, 256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sets = mesh.dirichlet_nodes, mesh.free_nodes, mesh.gamma2_nodes
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 8 * (mesh.num_vertices + 3 * 257) + 4096
+    assert [s.size for s in sets] == [257, 256 * 257, 3 * 257 - 2]
+    assert not any(s.flags.writeable for s in sets)  # shared by every solve on the mesh
 
 
 def test_mesh_size_values():
@@ -143,7 +182,7 @@ def test_dirichlet_nodes_after_refinement():
     f = refine_uniform(m)
     x0, y0, x1, y1 = f.domain
     on_gamma1 = np.isclose(f.vertices[:, 0], x0) | np.isclose(f.vertices[:, 1], y1)
-    assert np.array_equal(dof_map(f).dirichlet_nodes, np.flatnonzero(on_gamma1))
+    assert np.array_equal(f.dirichlet_nodes, np.flatnonzero(on_gamma1))
 
 
 def test_interpolate_constant_and_coordinates():
