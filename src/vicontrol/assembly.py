@@ -27,10 +27,8 @@ def _assemble(mesh: Mesh, local) -> sp.dia_matrix:
     slot, the grid offset of an entry that is not None, is one diagonal, in
     ascending order; where its neighbour lies off the grid it stores a zero."""
     nx, ny = mesh.nx, mesh.ny
-    # cell widths (nx,) and heights (ny, 1), from the grid lines
-    x0, y0, x1, y1 = mesh.domain
-    dx = np.diff(np.linspace(x0, x1, nx + 1))
-    dy = np.diff(np.linspace(y0, y1, ny + 1))[:, None]
+    x, y = mesh.lines  # whose steps are the cell widths (nx,) and heights (ny, 1)
+    dx, dy = np.diff(x), np.diff(y)[:, None]
     if not (np.all(dx > 0) and np.all(dy > 0)):
         raise ValueError("degenerate triangles: grid lines coincide or decrease")
     entries = [
@@ -108,7 +106,7 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
     whose edges join consecutive vertices along each side not on Gamma1."""
     n = mesh.num_vertices
     grid = np.arange(n, dtype=np.int64).reshape(mesh.ny + 1, mesh.nx + 1)
-    x, y = np.linspace(*mesh.domain[::2], mesh.nx + 1), np.linspace(*mesh.domain[1::2], mesh.ny + 1)
+    x, y = mesh.lines
     gamma2 = [(side, grid[index]) for side, index in SIDES.items() if side not in mesh.gamma1_sides]
     pairs = [np.column_stack([v[:-1], v[1:]]) for _, v in gamma2]
     edges = np.concatenate([np.empty((0, 2), np.int64), *pairs])  # none if Gamma1 is every side

@@ -125,8 +125,8 @@ class RunConfig:
             depth += self.oracle_extra_levels - 1
             extra = "/optimize_levels" if self.sweep_control else ""
             keys += f"/levels/oracle_extra_levels{extra}"
+        finest = f"the {self.nx}x{self.ny} mesh" + (f" refined {depth} times" if depth else "")
         if self.nx * self.ny > 2**20 >> 2 * depth:  # (nx 2**depth)(ny 2**depth) > 2**20
-            finest = f"the {self.nx}x{self.ny} mesh" + (f" refined {depth} times" if depth else "")
             raise ConfigError(f"{keys}: {finest} has more than 2**20 cells")
 
         # parse q and g once, and bound |q| and |g| over the domain and the controls a scan draws
@@ -152,18 +152,17 @@ class RunConfig:
         g_key = max(("g", "amplitude"), key=sup.get)
         dx, dy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
         narrowest = min(dx, dy) / 2**depth  # on the finest cells: dx*dx, dy*dy, dx*dy normal
-        # grid lines as build_rectangle_mesh places them on the finest mesh, which hold those of
-        # the coarser meshes: line k of n cells is line k * 2**d of n * 2**d, as fl(k*step) scales
-        axes = ((x0, x1, self.nx << depth), (y0, y1, self.ny << depth))
         # assembly forms dx*dx + dy*dy, which bounds 2 dx dy, on the base cells, the largest
         if not (dx * dx + dy * dy <= sys.float_info.max and narrowest**2 >= sys.float_info.min):
             cells = f"{dx!r} x {dy!r} cells" + (f", refined {depth} times," if depth else "")
             problems.append(f"domain/nx/ny: {cells} leave the float range")
-        elif not all(np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0) for lo, hi, n in axes):
-            problems.append(
-                f"domain/nx/ny: grid lines of the {self.nx}x{self.ny} mesh refined {depth} times "
-                "coincide in floating point"
-            )
+        # the finest mesh's grid lines hold those of the coarser meshes: line k of n cells is
+        # line k * 2**d of n * 2**d, as fl(k*step) scales; read from the base mesh's domain
+        elif not all(
+            np.all(np.diff(line) > 0)
+            for line in replace(mesh, nx=self.nx << depth, ny=self.ny << depth).lines
+        ):
+            problems.append(f"domain/nx/ny: grid lines of {finest} coincide in floating point")
         # a row of |A| sums to at most 4 (dx/dy + dy/dx): bounds A u for u = b, the lift
         elif 4 * float(self.b) * (dx / dy + dy / dx) > sys.float_info.max:
             problems.append(f"b={self.b!r} makes the Dirichlet lift A b overflow")

@@ -81,6 +81,8 @@ class ControlProblem:
     def as_obstacle_problem(self, g) -> ObstacleProblem:
         load = self.mass @ interpolate(self.mesh, g)
         load[self.mesh.gamma2_nodes] -= self.flux  # off Gamma2, x - 0.0 is x to the bit
+        if not np.all(np.isfinite(load)):  # a load past the float range, as in a solve
+            raise SolverError("load vector contains non-finite entries")
         return ObstacleProblem(self.stiffness, load, self.params.dirichlet, self.mesh)
 
     def solve_state(self, g, warm_start: np.ndarray | None = None) -> VISolution:

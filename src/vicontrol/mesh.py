@@ -2,9 +2,9 @@
 
 The mesh family is fixed: an nx-by-ny grid of cells, each split along the
 lower-left to upper-right diagonal, vertices numbered row-major. A mesh
-stores that grid alone and derives h, its vertices and triangles when read, so
-it compares and hashes by value; a level number belongs to the study that
-refines it, not to the mesh. The Dirichlet boundary Gamma1 is a nonempty union
+stores that grid alone and derives h, its grid lines, vertices and triangles
+when read, so it compares and hashes by value; a level number belongs to the
+study that refines it, not to the mesh. The Dirichlet boundary Gamma1 is a nonempty union
 of whole rectangle sides; the rest of the boundary is the Neumann part Gamma2.
 The mesh is the one owner of its Dirichlet, free and Gamma2 vertices, which it
 derives from the grid and caches when first read.
@@ -48,10 +48,16 @@ class Mesh:
         return (self.nx + 1) * (self.ny + 1)
 
     @property
+    def lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nx + 1 x and ny + 1 y grid lines, as np.linspace places them; derived from the
+        grid on every access."""
+        x0, y0, x1, y1 = self.domain
+        return np.linspace(x0, x1, self.nx + 1), np.linspace(y0, y1, self.ny + 1)
+
+    @property
     def vertices(self) -> np.ndarray:
         """(n, 2) coordinates, numbered row-major; derived from the grid on every access."""
-        x0, y0, x1, y1 = self.domain
-        xx, yy = np.meshgrid(np.linspace(x0, x1, self.nx + 1), np.linspace(y0, y1, self.ny + 1))
+        xx, yy = np.meshgrid(*self.lines)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     @property

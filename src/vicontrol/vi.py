@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -24,10 +23,10 @@ from .mesh import Mesh
 
 class SolverError(RuntimeError):
     """A failed solve, or a number past the float range. `vi` raises it when a state solve
-    misses its tolerance, with the unconverged state as `solution`, and when a load or reduced
-    system is not finite or a free node's diagonal is not positive; the harness and cli raise
-    an optimizer run's `failure`; `optimize`, the harness and the scan raise it for a cost,
-    norm or error that overflows."""
+    misses its tolerance, with the unconverged state as `solution`, and when a reduced system
+    is not finite or a free node's diagonal is not positive; `control` when a load is not
+    finite; the harness and cli raise an optimizer run's `failure`; `optimize`, the harness
+    and the scan raise it for a cost, norm or error that overflows."""
 
     def __init__(self, message: str, solution: VISolution | None = None):
         super().__init__(message)
@@ -42,34 +41,11 @@ class SolverError(RuntimeError):
             raise cls(f"{stage}: {exc}", exc.solution)
 
 
-@dataclass(frozen=True)
-class ObstacleProblem:
-    """Discrete obstacle problem data.
-
-    stiffness : global stiffness matrix A: symmetric, its 5-point stencil in DIA
-    load      : f = M_H g - F_q (full-length vector; F_q lives on Gamma2)
-    dirichlet_value : boundary temperature b >= 0
-    mesh      : the mesh solved on, whose Dirichlet and free nodes the solvers read
-    """
-
-    stiffness: sp.dia_matrix
-    load: np.ndarray
-    dirichlet_value: float
-    mesh: Mesh
-
-    def __post_init__(self):
-        if self.dirichlet_value < 0:
-            raise ValueError(f"dirichlet value must be >= 0, got {self.dirichlet_value}")
-        if not np.all(np.isfinite(self.load)):  # a load past the float range, as in a solve
-            raise SolverError("load vector contains non-finite entries")
-
-    @property
-    def size(self) -> int:
-        return self.load.shape[0]
-
-    def residual_scale(self) -> float:
-        return max(1.0, float(np.abs(self.load).max(initial=0.0)))
-
+# the discrete obstacle problem, built by `ControlProblem.as_obstacle_problem`: the stiffness
+# A (symmetric, its 5-point stencil in DIA), the full-length load f = M_H g - F_q (F_q lives on
+# Gamma2), the boundary temperature b and the mesh solved on, whose Dirichlet and free nodes
+# the solvers read
+ObstacleProblem = namedtuple("ObstacleProblem", "stiffness load dirichlet_value mesh")
 
 # a state solve's result, returned only within tolerance: the state u, its active set (the
 # free nodes where u = 0), the complementarity residual and the iteration count
@@ -88,16 +64,19 @@ def _complementarity_residual(
     return float(np.abs(gathered, out=gathered).max(initial=0.0))
 
 
-def _initial_state(problem: ObstacleProblem, u0: np.ndarray | None) -> np.ndarray:
+def _start(problem, u0, tol) -> tuple[np.ndarray, float]:
+    """Where a state path starts: u = b on the Dirichlet nodes and elsewhere u0 projected onto
+    u >= 0, or b without u0; and the absolute tolerance tol * max(1, ||f||_inf)."""
+    n = problem.mesh.num_vertices
     if u0 is None:
-        u = np.full(problem.size, problem.dirichlet_value, dtype=float)
+        u = np.full(n, problem.dirichlet_value, dtype=float)
     else:
         u = np.array(u0, dtype=float)
-        if u.shape != (problem.size,):
+        if u.shape != (n,):
             raise ValueError("starting vector has wrong length")
         np.maximum(u, 0.0, out=u)
     u[problem.mesh.dirichlet_nodes] = problem.dirichlet_value
-    return u
+    return u, tol * max(1.0, float(np.abs(problem.load).max(initial=0.0)))
 
 
 def _finalize(problem, u, iters, tol_abs, residual) -> VISolution:
@@ -113,8 +92,7 @@ def lift_solution(problem: ObstacleProblem, tol: float) -> VISolution:
     """The lift u = b on every node, in no iteration: the solution of a problem with no load,
     as A's rows sum to zero. Its complementarity residual is held to tol * max(1, ||f||_inf),
     as a solver's is."""
-    u = _initial_state(problem, None)
-    tol_abs = tol * problem.residual_scale()
+    u, tol_abs = _start(problem, None, tol)
     return _finalize(problem, u, 0, tol_abs, _complementarity_residual(problem, u))
 
 
@@ -151,12 +129,11 @@ def solve_psor(
     if np.any(diag[free] <= 0):
         raise SolverError("nonpositive diagonal on a free node")
     f = problem.load
-    u = _initial_state(problem, u0)
-    tol_abs = tol * problem.residual_scale()
-    every = np.arange(problem.size)
+    u, tol_abs = _start(problem, u0, tol)
+    every = np.arange(mesh.num_vertices)
     black = np.add(*np.divmod(free, mesh.nx + 1)) % 2 == 1  # grid row + column odd
     colours = [(c, block(a, c, every), f[c], diag[c]) for c in (free[~black], free[black])]
-    max_sweeps = 50 * problem.size
+    max_sweeps = 50 * mesh.num_vertices
     omega = 2.0 / (1.0 + np.sin(np.pi / max(mesh.nx, mesh.ny, 2)))
 
     for it in range(1, max_sweeps + 1):
@@ -186,13 +163,12 @@ def solve_pdas(
     """
     free, dirichlet = problem.mesh.free_nodes, problem.mesh.dirichlet_nodes
     a, f, b = problem.stiffness, problem.load, problem.dirichlet_value
-    u = _initial_state(problem, u0)
-    tol_abs = tol * problem.residual_scale()
+    u, tol_abs = _start(problem, u0, tol)
     r = a @ u - f  # -mu to the bit: IEEE subtraction is sign-symmetric
     for it in range(1, 101):
         inactive = free[~(u < r)[free]]
         del r  # recomputed after the solve, so not held through it
-        u = np.zeros(problem.size)
+        u = np.zeros(problem.mesh.num_vertices)
         u[dirichlet] = b
         if inactive.size:  # f less the lift A[I, D] b = (A u)[I], summed from +0.0 by column
             u[inactive] = solve_reduced(a, inactive, f[inactive] - (a @ u)[inactive])
@@ -207,10 +183,8 @@ def dump_solution(mesh: Mesh, solution: VISolution, path) -> None:
     active = np.zeros(mesh.num_vertices, dtype=int)
     active[solution.active_set] = 1
     # Python floats and ints from tolist() print as repr(float(x)) and int(a) would; the
-    # vertices run row-major, so each grid column's x and each grid row's y is printed once
-    width, coordinates = mesh.nx + 1, mesh.vertices.T
-    xs = [repr(x) for x in coordinates[0, :width].tolist()]
-    ys = [repr(y) for y in coordinates[1, ::width].tolist()]
+    # vertices run row-major, so each grid line's x or y is printed once
+    xs, ys = ([repr(v) for v in line.tolist()] for line in mesh.lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,u,active\n")
         rows = zip(product(ys, xs), solution.u.tolist(), active.tolist())

@@ -777,6 +777,29 @@ def test_config_fault_names_key(tmp_path, capsys, command, key, value):
     assert not (tmp_path / "out" / "config.yaml").exists()  # rejected before any write
 
 
+@pytest.mark.parametrize(
+    "command, domain, finest",
+    [
+        ("solve", [1.0e16, 0, 1.0000000000000008e16, 1], "the 8x8 mesh"),
+        ("sweep", [1.0e16, 0, 1.0000000000000256e16, 1], "the 8x8 mesh refined 5 times"),
+    ],
+)
+def test_coinciding_grid_lines_name_the_finest_mesh(tmp_path, capsys, command, domain, finest):
+    # a solve's finest mesh is its base mesh, a sweep's the oracle: 8x8 refined 4 + 2 - 1 times
+    cfg = write_config(tmp_path / "cfg.yaml", out=str(tmp_path / "out"), domain=domain)
+    assert cli.main(["--config", cfg, "--quiet", command]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration: domain/nx/ny: grid lines of {finest} coincide in floating point\n"
+    )
+
+
+def test_a_domain_of_integers_past_int64_runs(tmp_path):
+    # the grid lines are read from the mesh, whose domain is floats: numpy's linspace fails
+    # on a Python int past int64
+    cfg = write_config(tmp_path / "cfg.yaml", out=str(tmp_path / "out"), domain=[0, 0, 10**20, 1])
+    assert cli.main(["--config", cfg, "--quiet", "solve"]) == 0
+
+
 def test_faults_in_three_groups_name_every_key(tmp_path, capsys):
     # the mesh's, CostParams' and the run's own keys are checked together
     out = tmp_path / "out"

@@ -395,6 +395,14 @@ def test_load_is_mass_times_g_minus_the_boundary_flux(sides):
     assert cp.flux.size == mesh.gamma2_nodes.size < mesh.num_vertices
 
 
+def test_a_load_past_the_float_range_raises():
+    # an inner row of M_H sums to a third of its vertex's six triangles, 4 on cells 2 wide,
+    # so M_H g overflows at g = 1e308
+    cp = ControlProblem(build_rectangle_mesh(4, 4, (0.0, 0.0, 8.0, 8.0)), CostParams(1.0))
+    with pytest.raises(SolverError, match=r"^load vector contains non-finite entries$"):
+        cp.as_obstacle_problem(1e308)
+
+
 def test_control_problem_keeps_only_its_operators():
     # in vectors of 8 n bytes: A as its 5 diagonals, M_H as its 7, and the flux on
     # Gamma2 with the mesh's Gamma2 nodes make 12.0; A in CSR (5 slots of 12 bytes and
@@ -426,7 +434,7 @@ def test_cold_pdas_takes_at_most_10_iterations_on_every_mesh_of_its_chain(monkey
 
     def counting(problem, **kwargs):
         sol = solve_pdas(problem, **kwargs)
-        chain.append((problem.size, sol.iterations))
+        chain.append((problem.mesh.num_vertices, sol.iterations))
         return sol
 
     monkeypatch.setattr(control, "solve_pdas", counting)

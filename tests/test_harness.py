@@ -80,7 +80,7 @@ def test_sweep_solves_each_problem_once(base, monkeypatch):
     sizes = []  # unknowns per PDAS call
 
     def counting(problem, **kwargs):
-        sizes.append(problem.size)
+        sizes.append(problem.mesh.num_vertices)
         return solve_pdas(problem, **kwargs)
 
     monkeypatch.setattr(control, "solve_pdas", counting)
@@ -99,7 +99,7 @@ def test_nested_iteration_changes_no_bits(monkeypatch):
 
     def counting(problem, **kwargs):
         sol = solve_pdas(problem, **kwargs)
-        iterations.append((problem.size, sol.iterations))
+        iterations.append((problem.mesh.num_vertices, sol.iterations))
         return sol
 
     monkeypatch.setattr(control, "solve_pdas", counting)
@@ -147,7 +147,7 @@ def test_oracle_climb_settles_its_active_set_and_changes_no_bits(monkeypatch):
 
     def counting(problem, **kwargs):
         sol = solve_pdas(problem, **kwargs)
-        iterations.append((problem.size, sol.iterations))
+        iterations.append((problem.mesh.num_vertices, sol.iterations))
         return sol
 
     monkeypatch.setattr(control, "solve_pdas", counting)

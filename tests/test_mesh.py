@@ -190,6 +190,12 @@ def test_interpolate_constant_and_coordinates():
     assert np.all(interpolate(m, 3.5) == 3.5)
     vx = interpolate(m, lambda x, y: x)
     assert np.array_equal(vx, m.vertices[:, 0])
+    # the vertices are the grid lines' meshgrid, row-major, bit for bit
+    for m in (m, build_rectangle_mesh(7, 3), build_rectangle_mesh(5, 9, (-1.3, 0.2, 0.7, 3.1))):
+        x, y = m.lines
+        assert (x.size, y.size) == (m.nx + 1, m.ny + 1)
+        xx, yy = np.meshgrid(x, y)
+        assert m.vertices.tobytes() == np.column_stack([xx.ravel(), yy.ravel()]).tobytes()
 
 
 def test_interpolate_square_corners():

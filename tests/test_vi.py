@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from reference import brute_force_oracle, verify_vi
+from reference import brute_force_oracle, residual_scale, verify_vi
 from vicontrol import vi
 from vicontrol.assembly import (
     assemble_mass,
@@ -71,7 +71,7 @@ def test_inactive_case_matches_linear_solve(mesh3):
     dirichlet = prob.mesh.dirichlet_nodes
     a = prob.stiffness.tocsr()
     rhs = prob.load[free] - a[np.ix_(free, dirichlet)] @ np.ones(dirichlet.size)
-    u_lin = np.ones(prob.size)
+    u_lin = np.ones(prob.mesh.num_vertices)
     u_lin[free] = spla.spsolve(a[np.ix_(free, free)].tocsc(), rhs)
     for solver in (solve_psor, solve_pdas):
         sol = solver(prob, tol=1e-12)
@@ -209,7 +209,7 @@ def test_psor_not_converged_flagged():
     prob = obstacle_problem(mesh, 10.0, 0.0, 1.0)
     with pytest.raises(SolverError) as failed:
         solve_psor(prob, tol=1e-300)
-    assert failed.value.solution.iterations == 50 * prob.size
+    assert failed.value.solution.iterations == 50 * prob.mesh.num_vertices
 
 
 @pytest.mark.parametrize(
@@ -233,12 +233,12 @@ def test_every_state_path_returns_only_a_solution_within_tolerance(solve, n, g, 
         return float(np.abs(np.minimum(sol.u[free], r[free])).max())
 
     sol = solve(prob, tol=1e-10)
-    assert sol.complementarity_residual == residual(sol) <= 1e-10 * prob.residual_scale()
+    assert sol.complementarity_residual == residual(sol) <= 1e-10 * residual_scale(prob)
     with pytest.raises(SolverError, match=r"^state solve did not converge \(residual ") as failed:
         solve(prob, tol=1e-300)
     missed = failed.value.solution
     assert missed.complementarity_residual == residual(missed) > 1e-300
-    assert missed.iterations == cap(prob.size)
+    assert missed.iterations == cap(prob.mesh.num_vertices)
     assert str(failed.value) == (
         f"state solve did not converge (residual {missed.complementarity_residual:.3e})"
     )
@@ -306,7 +306,7 @@ def test_uniqueness_from_random_starts(mesh3):
     rng = np.random.default_rng(9)
     ref = solve_psor(prob, tol=1e-12).u
     for _ in range(5):
-        u0 = rng.uniform(0.0, 2.0, prob.size)
+        u0 = rng.uniform(0.0, 2.0, prob.mesh.num_vertices)
         sol = solve_psor(prob, tol=1e-12, u0=u0)
         assert np.max(np.abs(sol.u - ref)) <= 1e-8
 
@@ -327,7 +327,7 @@ def test_cross_method_agreement_in_v_norm():
 def test_kkt_invariants_of_solution(mesh3):
     prob = obstacle_problem(mesh3, -50.0, 0.0, 0.05)
     sol = solve_pdas(prob, tol=1e-12)
-    tol = 1e-9 * prob.residual_scale()
+    tol = 1e-9 * residual_scale(prob)
     assert np.all(sol.u[prob.mesh.dirichlet_nodes] == 0.05)
     assert np.all(sol.u >= -tol)
     r = prob.stiffness @ sol.u - prob.load
@@ -352,7 +352,7 @@ def test_pdas_settles_on_an_active_set_cycle_longer_than_two():
     prob = obstacle_problem(mesh, g, 0.0, 0.05)
     sol = solve_pdas(prob)
     assert sol.iterations <= 10
-    assert sol.complementarity_residual <= 1e-10 * prob.residual_scale()
+    assert sol.complementarity_residual <= 1e-10 * residual_scale(prob)
 
 
 def test_optimal_control_fixture_is_the_8x8_optimum():
@@ -386,7 +386,7 @@ def test_pdas_converges_on_cells_too_thin_for_their_active_sets_to_settle(width)
     cp = ControlProblem(mesh, CostParams(1.0, 0.0, 0.05))
     g = random_control(mesh, np.random.default_rng(0), 10.0)
     sol = cp.solve_state(g)  # raises SolverError unless converged
-    assert sol.complementarity_residual <= 1e-10 * cp.as_obstacle_problem(g).residual_scale()
+    assert sol.complementarity_residual <= 1e-10 * residual_scale(cp.as_obstacle_problem(g))
 
 
 def test_verify_vi_probes(mesh3):
@@ -395,11 +395,11 @@ def test_verify_vi_probes(mesh3):
     # v = u gives exactly zero
     assert verify_vi(prob, sol, [sol.u]) == pytest.approx(0.0, abs=1e-30)
     # constant b is in the feasible set
-    assert verify_vi(prob, sol, [np.full(prob.size, 0.05)]) >= -1e-10
+    assert verify_vi(prob, sol, [np.full(prob.mesh.num_vertices, 0.05)]) >= -1e-10
     rng = np.random.default_rng(23)
     probes = []
     for _ in range(100):
-        v = rng.uniform(0.0, 1.0, prob.size)
+        v = rng.uniform(0.0, 1.0, prob.mesh.num_vertices)
         v[prob.mesh.dirichlet_nodes] = 0.05
         probes.append(v)
     assert verify_vi(prob, sol, probes) >= -1e-9
@@ -408,7 +408,7 @@ def test_verify_vi_probes(mesh3):
 def test_verify_vi_rejects_infeasible_probe(mesh3):
     prob = obstacle_problem(mesh3, 0.0, 0.0, 1.0)
     sol = solve_pdas(prob)
-    bad = np.full(prob.size, -1.0)
+    bad = np.full(prob.mesh.num_vertices, -1.0)
     with pytest.raises(ValueError):
         verify_vi(prob, sol, [bad])
 
