@@ -20,19 +20,21 @@ _CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 
 def _assemble(mesh: Mesh, local) -> sp.dia_matrix:
     """Global DIA matrix from the element matrices of both triangles of every
-    cell, summed straight into each row's stencil slots. Every triangle has a
-    right angle and legs dx, dy along the axes, so local(dx, dy, area) gives
-    each element matrix in closed form: for the lower and the upper triangle,
-    3x3 entries that are (ny, nx) arrays, or None where the entry is zero. Each
-    slot, the grid offset of an entry that is not None, is one diagonal, in
-    ascending order; where its neighbour lies off the grid it stores a zero."""
+    cell, summed straight into its diagonals. Every triangle has a right angle
+    and legs dx, dy along the axes, so local(dx, dy, area) gives each element
+    matrix in closed form: for the lower and the upper triangle, 3x3 entries
+    that are (ny, nx) arrays, or None where the entry is zero. Each grid offset
+    (dr, dc) of an entry that is not None is one diagonal, in ascending order,
+    at the flat offset k = dr*(nx+1) + dc; an entry M[i, j] is added at its
+    column vertex j, so diagonal k holds M[j - k, j] at j, as DIA stores it,
+    and +0.0 wherever vertex j - k is off the grid."""
     nx, ny = mesh.nx, mesh.ny
     x, y = mesh.lines  # whose steps are the cell widths (nx,) and heights (ny, 1)
     dx, dy = np.diff(x), np.diff(y)[:, None]
     if not (np.all(dx > 0) and np.all(dy > 0)):
         raise ValueError("degenerate triangles: grid lines coincide or decrease")
     entries = [
-        ((rj - ri, cj - ci), (ri, ci), entry)
+        ((rj - ri, cj - ci), (rj, cj), entry)
         for corners, matrix in zip(_CORNERS, local(dx, dy, 0.5 * (dx * dy)))
         for (ri, ci), row in zip(corners, matrix)
         for (rj, cj), entry in zip(corners, row)
@@ -40,15 +42,10 @@ def _assemble(mesh: Mesh, local) -> sp.dia_matrix:
     ]
     offsets = sorted({offset for offset, _, _ in entries})
     stencil = np.zeros((len(offsets), ny + 1, nx + 1))
-    for offset, (ri, ci), entry in entries:
-        stencil[offsets.index(offset), ri : ri + ny, ci : ci + nx] += entry
-    del entries  # the element arrays, before the shifts' temporaries
-    # slot (dr, dc) of vertex i is M[i, i + k], k = dr*(nx+1) + dc, which DIA
-    # stores at column i + k; what wraps round the ends is off-grid, so zero
-    diagonals = stencil.reshape(len(offsets), -1)
+    for offset, (rj, cj), entry in entries:
+        stencil[offsets.index(offset), rj : rj + ny, cj : cj + nx] += entry
     shifts = [dr * (nx + 1) + dc for dr, dc in offsets]  # ascending, as the offsets are
-    for diagonal, k in zip(diagonals, shifts):
-        diagonal[:] = np.roll(diagonal, k)
+    diagonals = stencil.reshape(len(offsets), -1)
     return sp.dia_matrix((diagonals, shifts), shape=(mesh.num_vertices,) * 2)
 
 

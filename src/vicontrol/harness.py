@@ -238,19 +238,12 @@ def write_lines(path, header: str | None, rows) -> None:
 
 
 def _jsonable(value):
-    """Strict-JSON conversion: numpy scalars to Python, non-finite to null."""
+    """Strict JSON: every non-finite float, nested in dicts, lists or tuples, becomes null."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return value if np.isfinite(value) else None
-    return value
+    return None if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def write_json(path, payload: dict) -> None:

@@ -66,7 +66,7 @@ def _complementarity_residual(
 
 def _start(problem, u0, tol) -> tuple[np.ndarray, float]:
     """Where a state path starts: u = b on the Dirichlet nodes and elsewhere u0 projected onto
-    u >= 0, or b without u0; and the absolute tolerance tol * max(1, ||f||_inf)."""
+    u >= 0, or b without u0; and the absolute tolerance tol * max(1, ||f||_inf, b)."""
     n = problem.mesh.num_vertices
     if u0 is None:
         u = np.full(n, problem.dirichlet_value, dtype=float)
@@ -76,7 +76,7 @@ def _start(problem, u0, tol) -> tuple[np.ndarray, float]:
             raise ValueError("starting vector has wrong length")
         np.maximum(u, 0.0, out=u)
     u[problem.mesh.dirichlet_nodes] = problem.dirichlet_value
-    return u, tol * max(1.0, float(np.abs(problem.load).max(initial=0.0)))
+    return u, tol * max(1.0, float(np.abs(problem.load).max(initial=0.0)), problem.dirichlet_value)
 
 
 def _finalize(problem, u, iters, tol_abs, residual) -> VISolution:
@@ -90,7 +90,7 @@ def _finalize(problem, u, iters, tol_abs, residual) -> VISolution:
 
 def lift_solution(problem: ObstacleProblem, tol: float) -> VISolution:
     """The lift u = b on every node, in no iteration: the solution of a problem with no load,
-    as A's rows sum to zero. Its complementarity residual is held to tol * max(1, ||f||_inf),
+    as A's rows sum to zero. Its complementarity residual is held to tol * max(1, ||f||_inf, b),
     as a solver's is."""
     u, tol_abs = _start(problem, None, tol)
     return _finalize(problem, u, 0, tol_abs, _complementarity_residual(problem, u))
@@ -121,7 +121,7 @@ def solve_psor(
     2 / (1 + sin(pi / n)) with n = max(nx, ny, 2), Young's optimum for the
     model problem on an n x n grid.
 
-    tol is relative to max(1, ||f||_inf). Raises SolverError carrying the last
+    tol is relative to max(1, ||f||_inf, b). Raises SolverError carrying the last
     sweep (never a silent wrong answer) if 50 sweeps per vertex do not reach it.
     """
     a, mesh, free = problem.stiffness, problem.mesh, problem.mesh.free_nodes
@@ -158,7 +158,7 @@ def solve_pdas(
 
     The run stops at the first solved state within tolerance: its
     complementarity residual max|min(u, A u - f)| over the free nodes is at most
-    tol * max(1, ||f||_inf), which is what a solution within tolerance means.
+    tol * max(1, ||f||_inf, b), which is what a solution within tolerance means.
     Raises SolverError carrying the 100th state if none is.
     """
     free, dirichlet = problem.mesh.free_nodes, problem.mesh.dirichlet_nodes

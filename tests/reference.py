@@ -10,15 +10,15 @@ from vicontrol.vi import ObstacleProblem, SolverError, VISolution, _complementar
 
 
 def residual_scale(problem: ObstacleProblem) -> float:
-    """max(1, ||f||_inf), the scale that a state solve's tolerance is relative to."""
-    return max(1.0, float(np.abs(problem.load).max(initial=0.0)))
+    """max(1, ||f||_inf, b), the scale that a state solve's tolerance is relative to."""
+    return max(1.0, float(np.abs(problem.load).max(initial=0.0)), problem.dirichlet_value)
 
 
 def brute_force_oracle(problem: ObstacleProblem) -> VISolution:
     """Enumerate every active/inactive partition of the free nodes.
 
     For each partition the reduced equality system is solved and the KKT sign
-    conditions checked, to 1e-11 relative to max(1, b) and to the load scale;
+    conditions checked, to 1e-11 relative to max(1, b) and to `residual_scale`;
     the unique feasible partition gives the solution. Only for problems with
     at most 16 free nodes.
     """

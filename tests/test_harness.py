@@ -413,6 +413,21 @@ def test_write_lines_writes_floats_as_repr_and_ints_as_integers(tmp_path):
     assert path.read_bytes() == b"1.000000000000000056e-01\n1.0\n"
 
 
+def test_write_json_writes_non_finite_floats_as_null_at_any_depth(tmp_path):
+    path = tmp_path / "summary.json"
+    payload = {
+        "b": [float("nan"), (float("inf"), 0.1), {"c": np.float64("nan")}],
+        "a": {"ok": True, "n": 3, "x": np.float64(2.5), "y": -0.0, "z": None, "s": "pdas"},
+        "d": -float("inf"),
+    }
+    harness.write_json(path, payload)
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": {\n    "n": 3,\n    "ok": true,\n    "s": "pdas",\n    "x": 2.5,\n'
+        '    "y": -0.0,\n    "z": null\n  },\n  "b": [\n    null,\n    [\n      null,\n'
+        '      0.1\n    ],\n    {\n      "c": null\n    }\n  ],\n  "d": null\n}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "mu_grid", [(1.5,), (), (float("nan"),)], ids=["above_one", "empty", "nan"]
 )

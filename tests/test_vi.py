@@ -223,7 +223,7 @@ def test_psor_not_converged_flagged():
 )
 def test_every_state_path_returns_only_a_solution_within_tolerance(solve, n, g, b, cap):
     # a returned solution's complementarity residual, recomputed here, is within
-    # tol * max(1, ||f||_inf); at tol 1e-300 each path misses after its cap and raises
+    # tol * max(1, ||f||_inf, b); at tol 1e-300 each path misses after its cap and raises
     # SolverError carrying the unconverged solution, whose residual its reason reads
     prob = obstacle_problem(build_rectangle_mesh(n, n, gamma1_sides=("left",)), g, 0.0, b)
     free = prob.mesh.free_nodes
@@ -242,6 +242,18 @@ def test_every_state_path_returns_only_a_solution_within_tolerance(solve, n, g, 
     assert str(failed.value) == (
         f"state solve did not converge (residual {missed.complementarity_residual:.3e})"
     )
+
+
+@pytest.mark.parametrize("solve", [solve_pdas, solve_psor], ids=["pdas", "psor"])
+@pytest.mark.parametrize("b", [1e3, 1e5, 1e6])
+def test_tolerance_scales_with_the_dirichlet_value(solve, b):
+    # the residual min(u, A u - f) is formed through A u, whose roundoff grows with b: PDAS's
+    # exact solve at b = 1e5 leaves 1.019e-10 against ||f||_inf = 0.078, so the tolerance
+    # must scale with b for any solve to meet it
+    prob = obstacle_problem(build_rectangle_mesh(8, 8, gamma1_sides=("left",)), -5.0, 0.0, b)
+    assert residual_scale(prob) == b
+    sol = solve(prob, tol=1e-10)
+    assert sol.complementarity_residual <= 1e-10 * b
 
 
 def test_psor_sweeps_on_32x32():
